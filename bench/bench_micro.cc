@@ -70,6 +70,22 @@ void BM_EmBoundedSearch(benchmark::State& state) {
 }
 BENCHMARK(BM_EmBoundedSearch)->Arg(4)->Arg(8)->Arg(10);
 
+// The max-only path MineMppm takes: same e_m, but starts are visited in
+// descending bound order against a shared incumbent, so most never run.
+void BM_EmValueBoundOrdered(benchmark::State& state) {
+  const std::int64_t m = state.range(0);
+  Sequence s = BenchSequence(1000);
+  GapRequirement gap = ValueOrDie(GapRequirement::Create(9, 12));
+  std::uint64_t starts = 0;
+  for (auto _ : state) {
+    EmValue value = ValueOrDie(ComputeEmValue(s, gap, m));
+    starts = value.starts_searched;
+    benchmark::DoNotOptimize(value.em);
+  }
+  state.counters["starts_searched"] = static_cast<double>(starts);
+}
+BENCHMARK(BM_EmValueBoundOrdered)->Arg(4)->Arg(8)->Arg(10);
+
 void BM_EmNaiveEnumeration(benchmark::State& state) {
   const std::int64_t m = state.range(0);
   Sequence s = BenchSequence(1000);

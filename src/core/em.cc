@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <numeric>
 #include <string>
 
 #include "util/saturating.h"
@@ -63,10 +64,11 @@ class KrSearcher {
   /// Upper bound on K_r before searching.
   std::uint64_t Bound(std::size_t r) const { return psi_[m_][r]; }
 
-  /// Exact K_r.
-  std::uint64_t Search(std::size_t r) const {
+  /// max(incumbent, K_r): branches that cannot beat `incumbent` are pruned,
+  /// so incumbent 0 yields the exact K_r.
+  std::uint64_t Search(std::size_t r, std::uint64_t incumbent) const {
     std::vector<StateEntry> root{StateEntry{static_cast<std::int64_t>(r), 1}};
-    return SearchState(root, m_, /*best_so_far=*/0);
+    return SearchState(root, m_, incumbent);
   }
 
  private:
@@ -160,8 +162,32 @@ StatusOr<EmResult> ComputeEm(const Sequence& sequence,
       result.k_values[r] = 0;
       continue;
     }
-    result.k_values[r] = searcher.Search(r);
+    result.k_values[r] = searcher.Search(r, /*incumbent=*/0);
     result.em = std::max(result.em, result.k_values[r]);
+  }
+  return result;
+}
+
+StatusOr<EmValue> ComputeEmValue(const Sequence& sequence,
+                                 const GapRequirement& gap, std::int64_t m) {
+  if (m < 1) {
+    return Status::InvalidArgument("e_m order m must be >= 1");
+  }
+  EmValue result;
+  if (sequence.empty()) return result;
+  KrSearcher searcher(sequence, gap, m);
+  std::vector<std::size_t> order(sequence.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     return searcher.Bound(a) > searcher.Bound(b);
+                   });
+  // Bound(r) >= K_r, so once the bounds (descending) cannot beat the
+  // incumbent no later start can either; a zero bound never runs.
+  for (std::size_t r : order) {
+    if (searcher.Bound(r) <= result.em) break;
+    result.em = searcher.Search(r, result.em);
+    ++result.starts_searched;
   }
   return result;
 }

@@ -33,6 +33,26 @@ struct EmResult {
 StatusOr<EmResult> ComputeEm(const Sequence& sequence,
                              const GapRequirement& gap, std::int64_t m);
 
+/// Result of the max-only e_m search.
+struct EmValue {
+  /// e_m = max_r K_r; equal to ComputeEm(...).em.
+  std::uint64_t em = 0;
+  /// Start positions whose K_r search actually ran (the rest were pruned by
+  /// their upper bound).
+  std::uint64_t starts_searched = 0;
+};
+
+/// Computes e_m alone, which is all MPPm's Theorem 2 bound needs. Start
+/// positions are visited in descending order of their upper bound on K_r
+/// (ties by ascending position), each search is seeded with the best K_r
+/// found so far so it prunes against the global incumbent, and the loop
+/// stops at the first position whose bound cannot beat the incumbent.
+/// Exact; ComputeEm is its oracle.
+///
+/// Returns InvalidArgument for m < 1.
+StatusOr<EmValue> ComputeEmValue(const Sequence& sequence,
+                                 const GapRequirement& gap, std::int64_t m);
+
 /// Test reference: K_r by naive enumeration of every length-(m+1) offset
 /// sequence starting at 0-based position `r` (exponential in m; tests only).
 std::uint64_t BruteForceKr(const Sequence& sequence, const GapRequirement& gap,

@@ -31,10 +31,11 @@ StatusOr<MiningResult> MineMppm(const Sequence& sequence,
     return result;
   }
 
-  // Phase 1: the e_m statistic (Section 4.2).
+  // Phase 1: the e_m statistic (Section 4.2). Only the maximum feeds the
+  // Theorem 2 bound, so the per-position K_r profile is never built.
   Stopwatch em_watch;
-  PGM_ASSIGN_OR_RETURN(EmResult em_result,
-                       ComputeEm(sequence, gap, config.em_order));
+  PGM_ASSIGN_OR_RETURN(EmValue em_result,
+                       ComputeEmValue(sequence, gap, config.em_order));
   // e_m == 0 means no complete length-(m+1) offset sequence exists, so no
   // pattern longer than m can be frequent; 1 keeps the Theorem 2 bound
   // sound (and maximally tight) in that case.
@@ -95,7 +96,7 @@ StatusOr<MiningResult> MineMppm(const Sequence& sequence,
     }
   }
 
-  ctx.Estimate(em_result.em, n);
+  ctx.Estimate(em_result.em, em_result.starts_searched, n);
 
   // Phase 3: MPP with the estimated n, reusing the seed level.
   PGM_ASSIGN_OR_RETURN(

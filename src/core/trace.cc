@@ -285,8 +285,12 @@ void ObserverContext::GuardTrip(TerminationReason reason, std::int64_t level) {
   }
 }
 
-void ObserverContext::Estimate(std::uint64_t em, std::int64_t estimated_n) {
+void ObserverContext::Estimate(std::uint64_t em,
+                               std::uint64_t em_starts_searched,
+                               std::int64_t estimated_n) {
   run_metrics_.GetGauge("mine.last.em")->Set(static_cast<std::int64_t>(em));
+  run_metrics_.GetGauge("mine.last.em_starts_searched")
+      ->Set(static_cast<std::int64_t>(em_starts_searched));
   run_metrics_.GetGauge("mine.last.estimated_n")->Set(estimated_n);
   if (trace_ != nullptr) {
     TraceEvent event;

@@ -214,8 +214,11 @@ class ObserverContext {
   /// level started).
   void GuardTrip(TerminationReason reason, std::int64_t level);
 
-  /// MPPm's n-estimation outcome.
-  void Estimate(std::uint64_t em, std::int64_t estimated_n);
+  /// MPPm's n-estimation outcome. `em_starts_searched` (how many start
+  /// positions the e_m search visited) is a metrics gauge only; the trace
+  /// event carries em and estimated_n.
+  void Estimate(std::uint64_t em, std::uint64_t em_starts_searched,
+                std::int64_t estimated_n);
 
   /// One executor join pass (trace-only; volatile). `candidates` counts
   /// sink deliveries — not the plan size — so interrupted levels report the

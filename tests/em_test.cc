@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <string>
 #include <tuple>
 
 #include "datagen/generators.h"
+#include "datagen/presets.h"
 #include "util/random.h"
 
 namespace pgm {
@@ -95,6 +98,7 @@ TEST_P(EmSweep, MatchesBruteForce) {
     expected_em = std::max(expected_em, brute);
   }
   EXPECT_EQ(result.em, expected_em);
+  EXPECT_EQ(ComputeEmValue(s, gap, m)->em, expected_em);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -136,6 +140,98 @@ TEST(EmTest, ProteinAlphabet) {
   EmResult result = *ComputeEm(s, gap, 2);
   for (std::size_t r = 0; r < s.size(); ++r) {
     EXPECT_EQ(result.k_values[r], BruteForceKr(s, gap, 2, r)) << "r=" << r;
+  }
+}
+
+// --- The max-only path (ComputeEmValue), checked against the profile. ---
+
+TEST(EmValueTest, PaperTable2) {
+  Sequence s = *Sequence::FromString("ACGTCCGT", Alphabet::Dna());
+  GapRequirement gap = *GapRequirement::Create(1, 2);
+  EmValue value = *ComputeEmValue(s, gap, 2);
+  EXPECT_EQ(value.em, 2u);
+  EXPECT_GE(value.starts_searched, 1u);
+  EXPECT_LE(value.starts_searched, s.size());
+}
+
+TEST(EmValueTest, RejectsNonPositiveM) {
+  Sequence s = *Sequence::FromString("ACGT", Alphabet::Dna());
+  GapRequirement gap = *GapRequirement::Create(1, 2);
+  for (std::int64_t m : {0, -1, -3}) {
+    StatusOr<EmValue> value = ComputeEmValue(s, gap, m);
+    ASSERT_FALSE(value.ok()) << "m=" << m;
+    EXPECT_EQ(value.status().code(), StatusCode::kInvalidArgument);
+  }
+}
+
+TEST(EmValueTest, EmptyAndTooShortInputsGiveZero) {
+  GapRequirement gap = *GapRequirement::Create(2, 3);
+  EmValue empty = *ComputeEmValue(
+      *Sequence::FromString("", Alphabet::Dna()), gap, 2);
+  EXPECT_EQ(empty.em, 0u);
+  EXPECT_EQ(empty.starts_searched, 0u);
+  // No complete length-(m+1) offset sequence fits, so every bound is 0 and
+  // no start is searched.
+  EmValue too_short = *ComputeEmValue(
+      *Sequence::FromString("ACG", Alphabet::Dna()), gap, 2);
+  EXPECT_EQ(too_short.em, 0u);
+  EXPECT_EQ(too_short.starts_searched, 0u);
+}
+
+TEST(EmValueTest, SingleOffsetWindow) {
+  // W = 1: one offset sequence per start, so e_m = 1 and the first start
+  // with a full window settles it.
+  Sequence s = *Sequence::FromString("ATGCATGCATGC", Alphabet::Dna());
+  GapRequirement gap = *GapRequirement::Create(1, 1);
+  EmValue value = *ComputeEmValue(s, gap, 3);
+  EXPECT_EQ(value.em, 1u);
+  EXPECT_EQ(value.em, ComputeEm(s, gap, 3)->em);
+  EXPECT_EQ(value.starts_searched, 1u);
+}
+
+TEST(EmValueTest, SaturatingHomopolymerClampsAtMax) {
+  // W = 64, m = 11: the start at 0 spells one string 64^11 = 2^66 ways, so
+  // K_0 clamps at 2^64 - 1 and no other start can beat it.
+  Sequence s = *Sequence::FromString(std::string(705, 'A'), Alphabet::Dna());
+  GapRequirement gap = *GapRequirement::Create(0, 63);
+  EmValue value = *ComputeEmValue(s, gap, 11);
+  EXPECT_EQ(value.em, std::numeric_limits<std::uint64_t>::max());
+  EXPECT_EQ(value.starts_searched, 1u);
+}
+
+TEST(EmValueTest, PrunesMostStartsOnASurrogateSegment) {
+  Sequence genome = *MakeAx829174Surrogate();
+  Sequence segment = genome.Subsequence(0, 2000);
+  GapRequirement gap = *GapRequirement::Create(9, 12);
+  EmValue value = *ComputeEmValue(segment, gap, 8);
+  EXPECT_EQ(value.em, ComputeEm(segment, gap, 8)->em);
+  EXPECT_LT(value.starts_searched, segment.size() / 10);
+}
+
+// Seeded sweep over random DNA and protein inputs: lengths 0-400, N 0-6,
+// W 1-9, m 1-8. The full K_r profile is the oracle.
+TEST(EmValueTest, MatchesProfileOnRandomSweep) {
+  Rng rng(20260);
+  constexpr int kConfigs = 240;
+  for (int i = 0; i < kConfigs; ++i) {
+    const bool protein = i % 2 == 1;
+    const std::size_t length = rng.UniformInt(401);
+    const std::int64_t N = static_cast<std::int64_t>(rng.UniformInt(7));
+    const std::int64_t W = 1 + static_cast<std::int64_t>(rng.UniformInt(9));
+    const std::int64_t m = 1 + static_cast<std::int64_t>(rng.UniformInt(8));
+    GapRequirement gap = *GapRequirement::Create(N, N + W - 1);
+    Sequence s = *UniformRandomSequence(
+        length, protein ? Alphabet::Protein() : Alphabet::Dna(), rng);
+    EmResult profile = *ComputeEm(s, gap, m);
+    EmValue value = *ComputeEmValue(s, gap, m);
+    SCOPED_TRACE(testing::Message()
+                 << "config " << i << ": L=" << length << " N=" << N
+                 << " W=" << W << " m=" << m << " protein=" << protein);
+    EXPECT_EQ(value.em, profile.em);
+    EXPECT_LE(value.starts_searched, s.size());
+    // Every start whose K_r equals e_m has bound >= e_m, so at least one
+    // search runs whenever e_m > 0.
+    EXPECT_EQ(value.starts_searched == 0, profile.em == 0);
   }
 }
 

@@ -6,6 +6,7 @@
 #include "core/miner.h"
 #include "datagen/generators.h"
 #include "datagen/planting.h"
+#include "datagen/presets.h"
 #include "util/random.h"
 
 namespace pgm {
@@ -54,6 +55,22 @@ TEST(MppmTest, RecordsEmAndEstimate) {
   EXPECT_EQ(result.n_used, result.estimated_n);
   EXPECT_GE(result.em_seconds, 0.0);
   EXPECT_GE(result.total_seconds, result.em_seconds);
+}
+
+TEST(MppmTest, EmMatchesFullProfileOnSurrogateSegment) {
+  // MineMppm takes the max-only e_m path; the per-position profile is the
+  // oracle for its value at the Section 6 gap and order.
+  Sequence segment = MakeAx829174Surrogate()->Subsequence(0, 2000);
+  MinerConfig config;
+  config.min_gap = 9;
+  config.max_gap = 12;
+  config.min_support_ratio = 0.005;
+  config.start_length = 3;
+  config.em_order = 10;
+  MiningResult result = *MineMppm(segment, config);
+  GapRequirement gap = *GapRequirement::Create(9, 12);
+  EXPECT_EQ(result.em, ComputeEm(segment, gap, config.em_order)->em);
+  EXPECT_GT(result.em, 0u);
 }
 
 TEST(MppmTest, EstimateCoversLongestFrequentPattern) {

@@ -120,6 +120,9 @@ const char kGoldenMetrics[] =
     "  },\n"
     "  \"gauges\": {\n"
     "    \"mine.last.em\": 4,\n"
+    // The e_m search visited one start: its K_r already met every other
+    // start's upper bound.
+    "    \"mine.last.em_starts_searched\": 1,\n"
     "    \"mine.last.estimated_n\": 6,\n"
     "    \"mine.last.guaranteed_complete_up_to\": 6,\n"
     "    \"mine.last.longest_frequent_length\": 3,\n"
