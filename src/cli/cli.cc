@@ -4,6 +4,10 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <initializer_list>
+#include <iterator>
+#include <sstream>
+#include <string_view>
 #include <thread>
 
 #include "analysis/compare.h"
@@ -14,6 +18,7 @@
 #include "analysis/tandem.h"
 #include "core/em.h"
 #include "core/miner.h"
+#include "core/miner_options.h"
 #include "core/trace.h"
 #include "corpus/executor.h"
 #include "datagen/presets.h"
@@ -62,123 +67,204 @@ StatusOr<Sequence> LoadPreset(const std::string& body) {
       "' (expected ax829174, bacteria, eukaryote, or worm)");
 }
 
-}  // namespace
-
-StatusOr<Sequence> LoadInput(const std::string& spec) {
-  std::string body = spec;
+/// An input spec's parts (see cli.h); a fasta value is the path, with any
+/// `#<record-id>` split off into record_id.
+struct InputSpec {
   const Alphabet* alphabet = &Alphabet::Dna();
-  const std::string protein_suffix = "@protein";
-  if (body.size() > protein_suffix.size() &&
-      body.compare(body.size() - protein_suffix.size(), protein_suffix.size(),
-                   protein_suffix) == 0) {
-    alphabet = &Alphabet::Protein();
-    body.resize(body.size() - protein_suffix.size());
+  std::string kind;
+  std::string value;
+  std::string record_id;
+};
+
+StatusOr<InputSpec> ParseInputSpec(const std::string& spec) {
+  InputSpec input;
+  std::string_view body = spec;
+  constexpr std::string_view kProtein = "@protein";
+  if (body.size() > kProtein.size() && body.ends_with(kProtein)) {
+    input.alphabet = &Alphabet::Protein();
+    body.remove_suffix(kProtein.size());
   }
   const std::size_t colon = body.find(':');
-  if (colon == std::string::npos) {
+  if (colon == std::string_view::npos) {
     return Status::InvalidArgument(
         "input spec must look like kind:value (kinds: fasta, text, raw, "
         "preset); got '" + spec + "'");
   }
-  const std::string kind = body.substr(0, colon);
-  const std::string value = body.substr(colon + 1);
-  if (value.empty()) {
+  input.kind = body.substr(0, colon);
+  input.value = body.substr(colon + 1);
+  const std::size_t hash = input.value.find('#');
+  if (input.kind == "fasta" && hash != std::string::npos) {
+    input.record_id = input.value.substr(hash + 1);
+    input.value.resize(hash);
+  }
+  if (input.value.empty()) {
     return Status::InvalidArgument("empty value in input spec '" + spec + "'");
   }
+  return input;
+}
 
-  if (kind == "raw") {
-    return Sequence::FromString(value, *alphabet);
+/// The FASTA record named `record_id`, or the file's first record when it
+/// is empty.
+StatusOr<FastaRecord> ReadFastaRecord(const std::string& path,
+                                      const std::string& record_id) {
+  PGM_ASSIGN_OR_RETURN(std::vector<FastaRecord> records, ReadFastaFile(path));
+  if (records.empty()) {
+    return Status::NotFound("no records in FASTA file: " + path);
   }
-  if (kind == "text") {
-    PGM_ASSIGN_OR_RETURN(std::string contents, ReadFileToString(value));
+  if (record_id.empty()) return std::move(records.front());
+  for (FastaRecord& record : records) {
+    if (record.id == record_id) return std::move(record);
+  }
+  return Status::NotFound("record '" + record_id + "' not in " + path);
+}
+
+/// Splits on runs of whitespace.
+std::vector<std::string> Tokens(std::string_view text) {
+  std::istringstream stream{std::string(text)};
+  return {std::istream_iterator<std::string>(stream),
+          std::istream_iterator<std::string>()};
+}
+
+}  // namespace
+
+StatusOr<Sequence> LoadInput(const std::string& spec) {
+  PGM_ASSIGN_OR_RETURN(InputSpec input, ParseInputSpec(spec));
+  if (input.kind == "raw") {
+    return Sequence::FromString(input.value, *input.alphabet);
+  }
+  if (input.kind == "text") {
+    PGM_ASSIGN_OR_RETURN(std::string contents, ReadFileToString(input.value));
     std::size_t dropped = 0;
-    Sequence sequence = Sequence::FromStringLossy(contents, *alphabet, &dropped);
+    Sequence sequence =
+        Sequence::FromStringLossy(contents, *input.alphabet, &dropped);
     if (sequence.empty()) {
       return Status::InvalidArgument("file contains no alphabet characters: " +
-                                     value);
+                                     input.value);
     }
     return sequence;
   }
-  if (kind == "fasta") {
-    std::string path = value;
-    std::string record_id;
-    const std::size_t hash = value.find('#');
-    if (hash != std::string::npos) {
-      path = value.substr(0, hash);
-      record_id = value.substr(hash + 1);
-    }
-    PGM_ASSIGN_OR_RETURN(std::vector<FastaRecord> records, ReadFastaFile(path));
-    if (records.empty()) {
-      return Status::NotFound("no records in FASTA file: " + path);
-    }
-    const FastaRecord* chosen = &records.front();
-    if (!record_id.empty()) {
-      chosen = nullptr;
-      for (const FastaRecord& record : records) {
-        if (record.id == record_id) {
-          chosen = &record;
-          break;
-        }
-      }
-      if (chosen == nullptr) {
-        return Status::NotFound("record '" + record_id + "' not in " + path);
-      }
-    }
-    return RecordToSequence(*chosen, *alphabet);
+  if (input.kind == "fasta") {
+    PGM_ASSIGN_OR_RETURN(FastaRecord record,
+                         ReadFastaRecord(input.value, input.record_id));
+    return RecordToSequence(record, *input.alphabet);
   }
-  if (kind == "preset") {
-    return LoadPreset(value);
+  if (input.kind == "preset") {
+    return LoadPreset(input.value);
   }
-  return Status::InvalidArgument("unknown input kind '" + kind + "'");
+  return Status::InvalidArgument("unknown input kind '" + input.kind + "'");
 }
 
 StatusOr<CorpusPlan> LoadCorpusInput(const std::string& spec,
                                      const CorpusPlanOptions& options,
                                      bool use_mmap) {
-  std::string body = spec;
-  const Alphabet* alphabet = &Alphabet::Dna();
-  const std::string protein_suffix = "@protein";
-  if (body.size() > protein_suffix.size() &&
-      body.compare(body.size() - protein_suffix.size(), protein_suffix.size(),
-                   protein_suffix) == 0) {
-    alphabet = &Alphabet::Protein();
-    body.resize(body.size() - protein_suffix.size());
+  PGM_ASSIGN_OR_RETURN(InputSpec input, ParseInputSpec(spec));
+  if (input.kind != "fasta") {
+    // raw:/text:/preset: become a single pseudo-record named by the spec,
+    // so corpus reports and fragment traces stay self-describing.
+    PGM_ASSIGN_OR_RETURN(Sequence sequence, LoadInput(spec));
+    return CorpusPlan::FromSequence(sequence, spec, options);
   }
-  const std::size_t colon = body.find(':');
-  const std::string kind =
-      colon == std::string::npos ? std::string() : body.substr(0, colon);
-  if (kind == "fasta") {
-    std::string path = body.substr(colon + 1);
-    std::string record_id;
-    const std::size_t hash = path.find('#');
-    if (hash != std::string::npos) {
-      record_id = path.substr(hash + 1);
-      path.resize(hash);
-    }
-    if (path.empty()) {
-      return Status::InvalidArgument("empty value in input spec '" + spec +
-                                     "'");
-    }
-    if (record_id.empty()) {
-      return CorpusPlan::FromFastaFile(path, *alphabet, options, use_mmap);
-    }
-    PGM_ASSIGN_OR_RETURN(std::vector<FastaRecord> records,
-                         ReadFastaFile(path));
-    for (const FastaRecord& record : records) {
-      if (record.id == record_id) {
-        return CorpusPlan::FromRecords({record}, *alphabet, options);
-      }
-    }
-    return Status::NotFound("record '" + record_id + "' not in " + path);
+  if (input.record_id.empty()) {
+    return CorpusPlan::FromFastaFile(input.value, *input.alphabet, options,
+                                     use_mmap);
   }
-  // raw:/text:/preset: (and malformed specs, which fail inside LoadInput
-  // with the usual message) become a single pseudo-record named by the
-  // spec, so corpus reports and fragment traces stay self-describing.
-  PGM_ASSIGN_OR_RETURN(Sequence sequence, LoadInput(spec));
-  return CorpusPlan::FromSequence(sequence, spec, options);
+  PGM_ASSIGN_OR_RETURN(FastaRecord record,
+                       ReadFastaRecord(input.value, input.record_id));
+  return CorpusPlan::FromRecords({record}, *input.alphabet, options);
 }
 
 namespace {
+
+/// Parses a sub-command's arguments (argv after the command name).
+Status ParseFlags(FlagSet& flags, std::vector<std::string> args) {
+  args.insert(args.begin(), "pgm");
+  std::vector<char*> argv;
+  for (std::string& arg : args) argv.push_back(arg.data());
+  return flags.Parse(static_cast<int>(argv.size()), argv.data());
+}
+
+Status MissingFlag(const std::string& name, const FlagSet& flags) {
+  return Status::InvalidArgument("--" + name + " is required\n" +
+                                 flags.Usage());
+}
+
+/// The CLI's base config: the paper's Section-6 setting, gap [9, 12] and
+/// ρs = 0.003%, over the MinerConfig defaults.
+MinerConfig SectionSixConfig() {
+  MinerConfig config;
+  config.min_gap = 9;
+  config.max_gap = 12;
+  config.min_support_ratio = 0.003 / 100.0;
+  return config;
+}
+
+/// Registers the user-facing MinerOptions() rows as flags writing into
+/// *config (only the rows named in `only`, when given). Usage() shows
+/// *config's values as the defaults.
+void AddMinerFlags(FlagSet& flags, MinerConfig* config,
+                   std::initializer_list<std::string_view> only = {}) {
+  for (const MinerOption& option : MinerOptions()) {
+    if (option.name.empty() ||
+        (only.size() > 0 &&
+         std::find(only.begin(), only.end(), option.name) == only.end())) {
+      continue;
+    }
+    std::string shown;
+    option.render(*config, OptionText::kUser, &shown);
+    flags.AddCallback(std::string(option.name), std::string(option.help),
+                      shown, [&option, config](const std::string& text) {
+                        return option.set(text, config);
+                      });
+  }
+}
+
+/// A command's --metrics-out / --trace exports and the sinks behind them.
+struct Exports {
+  std::string metrics_path;
+  std::string trace_path;
+  bool trace_timings = false;
+  MetricsRegistry metrics;
+  MiningTrace trace;
+  MiningObserver observer;
+
+  void AddFlags(FlagSet& flags, bool with_timings) {
+    flags.AddString("metrics-out", &metrics_path,
+                    "write the run's metrics as deterministic JSON here");
+    flags.AddString("trace", &trace_path,
+                    "write the run's structured trace as JSON here");
+    if (with_timings) {
+      flags.AddBool("trace-timings", &trace_timings,
+                    "include wall-clock/worker fields and shard timings in "
+                    "--trace output (not byte-stable across runs)");
+    }
+  }
+
+  /// The observer a run records into: null when no export was requested.
+  const MiningObserver* Observer() {
+    if (!metrics_path.empty()) observer.metrics = &metrics;
+    if (!trace_path.empty()) observer.trace = &trace;
+    const bool any = observer.metrics != nullptr || observer.trace != nullptr;
+    return any ? &observer : nullptr;
+  }
+
+  /// Called after the report, so a failed write (IoError, loud in *error)
+  /// never swallows the result.
+  Status Write(std::string* output) const {
+    if (!metrics_path.empty()) {
+      PGM_RETURN_IF_ERROR(
+          WriteStringToFile(metrics_path, metrics.ToJson() + "\n"));
+      output->append("wrote metrics JSON to " + metrics_path + "\n");
+    }
+    if (!trace_path.empty()) {
+      TraceJsonOptions options;
+      options.include_volatile = trace_timings;
+      PGM_RETURN_IF_ERROR(
+          WriteStringToFile(trace_path, trace.ToJson(options) + "\n"));
+      output->append("wrote trace JSON to " + trace_path + "\n");
+    }
+    return Status::OK();
+  }
+};
 
 // ---------------------------------------------------------------------------
 // pgm mine
@@ -188,113 +274,33 @@ Status RunMine(const std::vector<std::string>& args, std::string* output,
                int* exit_override) {
   std::string input;
   std::string algorithm = "mppm";
-  std::int64_t min_gap = 9, max_gap = 12;
-  double rho_percent = 0.003;
-  std::int64_t start_length = 3, max_length = -1, user_n = -1, em_order = 10;
+  MinerConfig config = SectionSixConfig();
   std::int64_t top = 25;
   bool maximal = false;
   bool level_stats = false;
   bool lift = false;
   std::string csv_path;
-  std::string metrics_path;
-  std::string trace_path;
-  bool trace_timings = false;
-  std::int64_t deadline_ms = -1;
-  std::int64_t pil_budget_bytes = 0;
-  std::int64_t max_level_candidates = 0;
-  std::int64_t max_total_candidates = 0;
-  std::int64_t threads = 1;
-  std::string kernel = "auto";
+  Exports exports;
 
   FlagSet flags("pgm mine: find frequent periodic patterns");
   flags.AddString("input", &input, "input spec (see pgm --help)");
   flags.AddString("algorithm", &algorithm, "mpp | mppm | enum | adaptive");
-  flags.AddInt64("min-gap", &min_gap, "minimum gap N");
-  flags.AddInt64("max-gap", &max_gap, "maximum gap M");
-  flags.AddDouble("rho-percent", &rho_percent, "support threshold in percent");
-  flags.AddInt64("start-length", &start_length, "first mined pattern length");
-  flags.AddInt64("max-length", &max_length, "pattern length cap (-1 = none)");
-  flags.AddInt64("n", &user_n, "MPP estimate of longest pattern (-1 = worst)");
-  flags.AddInt64("m", &em_order, "MPPm e_m order");
+  AddMinerFlags(flags, &config);
   flags.AddInt64("top", &top, "patterns shown (longest / highest ratio first)");
   flags.AddBool("maximal", &maximal, "condense to maximal patterns");
   flags.AddBool("lift", &lift,
                 "also rank patterns by compositional lift (observed/expected)");
   flags.AddBool("level-stats", &level_stats, "include per-level candidates");
   flags.AddString("csv", &csv_path, "also write all patterns as CSV here");
-  flags.AddString("metrics-out", &metrics_path,
-                  "write run metrics (counters/gauges/histograms) as "
-                  "deterministic JSON here");
-  flags.AddString("trace", &trace_path,
-                  "write the structured mining trace (level starts/ends, "
-                  "prune decisions, guard trips) as JSON here");
-  flags.AddBool("trace-timings", &trace_timings,
-                "include wall-clock/worker fields and shard timings in "
-                "--trace output (not byte-stable across runs)");
-  flags.AddInt64("deadline-ms", &deadline_ms,
-                 "wall-clock budget in ms; partial result on expiry "
-                 "(-1 = none)");
-  flags.AddInt64("pil-budget-bytes", &pil_budget_bytes,
-                 "PIL memory budget in bytes (0 = unlimited)");
-  flags.AddInt64("max-level-candidates", &max_level_candidates,
-                 "cap on candidates per level (0 = unlimited)");
-  flags.AddInt64("max-total-candidates", &max_total_candidates,
-                 "cap on total candidates (0 = unlimited)");
-  flags.AddInt64("threads", &threads,
-                 "worker threads for level evaluation (1 = serial, 0 = one "
-                 "per hardware thread); results are identical at every "
-                 "thread count");
-  flags.AddString("kernel", &kernel,
-                  "join-kernel tier: auto | scalar | bits | avx2 (auto picks "
-                  "the bitset/AVX2 kernel when the gap window fits 64 bits; "
-                  "results are identical under every tier)");
-  std::vector<char*> argv;
-  std::vector<std::string> storage = args;
-  storage.insert(storage.begin(), "pgm mine");
-  for (std::string& s : storage) argv.push_back(s.data());
-  PGM_RETURN_IF_ERROR(flags.Parse(static_cast<int>(argv.size()), argv.data()));
-  if (input.empty()) {
-    return Status::InvalidArgument("--input is required\n" + flags.Usage());
-  }
+  exports.AddFlags(flags, /*with_timings=*/true);
+  PGM_RETURN_IF_ERROR(ParseFlags(flags, args));
+  if (input.empty()) return MissingFlag("input", flags);
 
   PGM_ASSIGN_OR_RETURN(Sequence sequence, LoadInput(input));
-  MinerConfig config;
-  config.min_gap = min_gap;
-  config.max_gap = max_gap;
-  config.min_support_ratio = rho_percent / 100.0;
-  config.start_length = start_length;
-  config.max_length = max_length;
-  config.user_n = user_n;
-  config.em_order = em_order;
-  if (pil_budget_bytes < 0 || max_level_candidates < 0 ||
-      max_total_candidates < 0) {
-    return Status::InvalidArgument(
-        "resource budgets must be non-negative (0 = unlimited)");
-  }
-  config.limits.deadline_ms = deadline_ms;
-  config.limits.pil_memory_budget_bytes =
-      static_cast<std::uint64_t>(pil_budget_bytes);
-  config.limits.max_level_candidates =
-      static_cast<std::uint64_t>(max_level_candidates);
-  config.limits.max_total_candidates =
-      static_cast<std::uint64_t>(max_total_candidates);
-  config.threads = threads;
-  if (!KernelTierFromString(kernel, &config.kernel_tier)) {
-    return Status::InvalidArgument(
-        "unknown --kernel '" + kernel + "' (auto | scalar | bits | avx2)");
-  }
   // SIGINT/SIGTERM latch the process-wide token (tools/pgm_main.cc); the
   // miners poll it and wind down to a partial-but-sound result.
   config.cancel = &GlobalCancelToken();
-
-  MetricsRegistry metrics;
-  MiningTrace trace;
-  MiningObserver observer;
-  if (!metrics_path.empty()) observer.metrics = &metrics;
-  if (!trace_path.empty()) observer.trace = &trace;
-  if (observer.metrics != nullptr || observer.trace != nullptr) {
-    config.observer = &observer;
-  }
+  config.observer = exports.Observer();
 
   StatusOr<MiningResult> mined = [&]() -> StatusOr<MiningResult> {
     if (algorithm == "mpp") return MineMpp(sequence, config);
@@ -306,12 +312,12 @@ Status RunMine(const std::vector<std::string>& args, std::string* output,
   PGM_RETURN_IF_ERROR(mined.status());
   const MiningResult& result = *mined;
   PGM_ASSIGN_OR_RETURN(GapRequirement gap,
-                       GapRequirement::Create(min_gap, max_gap));
+                       GapRequirement::Create(config.min_gap, config.max_gap));
 
   output->append(StrFormat(
       "subject: L=%zu over {%s}; rho_s=%g%%; algorithm=%s\n",
-      sequence.size(), sequence.alphabet().symbols().c_str(), rho_percent,
-      algorithm.c_str()));
+      sequence.size(), sequence.alphabet().symbols().c_str(),
+      config.min_support_ratio * 100.0, algorithm.c_str()));
   ReportOptions report_options;
   report_options.top = static_cast<std::size_t>(std::max<std::int64_t>(0, top));
   report_options.maximal_only = maximal;
@@ -342,19 +348,7 @@ Status RunMine(const std::vector<std::string>& args, std::string* output,
     output->append("wrote " + std::to_string(result.patterns.size()) +
                    " patterns to " + csv_path + "\n");
   }
-  // The observability exports come after the report so a failed write
-  // (IoError, loud in *error) never swallows the mining result itself.
-  if (!metrics_path.empty()) {
-    PGM_RETURN_IF_ERROR(WriteStringToFile(metrics_path, metrics.ToJson() + "\n"));
-    output->append("wrote metrics JSON to " + metrics_path + "\n");
-  }
-  if (!trace_path.empty()) {
-    TraceJsonOptions trace_options;
-    trace_options.include_volatile = trace_timings;
-    PGM_RETURN_IF_ERROR(
-        WriteStringToFile(trace_path, trace.ToJson(trace_options) + "\n"));
-    output->append("wrote trace JSON to " + trace_path + "\n");
-  }
+  PGM_RETURN_IF_ERROR(exports.Write(output));
   if (result.termination == TerminationReason::kCancelled &&
       GlobalCancelToken().cancelled()) {
     // Interrupted, not failed: everything reported above is genuinely
@@ -376,32 +370,29 @@ Status RunCorpus(const std::vector<std::string>& args, std::string* output,
                  int* exit_override) {
   std::string input;
   std::string algorithm = "mppm";
+  MinerConfig config = SectionSixConfig();
   std::int64_t fragment_length = 100'000;
   bool keep_tail = false;
   std::int64_t max_fragments = 0;
-  std::int64_t min_gap = 9, max_gap = 12;
-  double rho_percent = 0.003;
-  std::int64_t start_length = 3, max_length = -1, user_n = -1, em_order = 10;
   std::int64_t top = 25;
-  std::int64_t threads = 1;
-  std::string kernel = "auto";
-  std::int64_t deadline_ms = -1;
-  std::int64_t pil_budget_bytes = 0;
-  std::int64_t max_level_candidates = 0;
-  std::int64_t max_total_candidates = 0;
   bool no_mmap = false;
   std::string csv_path;
-  std::string metrics_path;
-  std::string trace_path;
-  bool trace_timings = false;
+  Exports exports;
 
   FlagSet flags(
       "pgm corpus: mine every record of a corpus fragment-by-fragment "
       "(the paper's Section 7 methodology: support is counted within "
-      "fragments, never across fragment boundaries)");
+      "fragments, never across fragment boundaries).\n"
+      "The mining flags apply per fragment, except: --threads mines that "
+      "many whole fragments at a time (each one serially); --deadline-ms "
+      "and --max-total-candidates budget the whole corpus; "
+      "--max-level-candidates caps any single fragment's candidate total. "
+      "Once a corpus budget trips, fragments not yet started are skipped "
+      "and the partial result stays sound.");
   flags.AddString("input", &input,
                   "input spec; fasta:<path> mines every record");
   flags.AddString("algorithm", &algorithm, "mpp | mppm | enum | adaptive");
+  AddMinerFlags(flags, &config);
   flags.AddInt64("fragment-length", &fragment_length,
                  "window length each record is cut into (Section 7 uses "
                  "100000)");
@@ -410,64 +401,20 @@ Status RunCorpus(const std::vector<std::string>& args, std::string* output,
                 "(off = drop it, the paper's convention)");
   flags.AddInt64("max-fragments", &max_fragments,
                  "cap on total fragments planned (0 = all)");
-  flags.AddInt64("min-gap", &min_gap, "minimum gap N");
-  flags.AddInt64("max-gap", &max_gap, "maximum gap M");
-  flags.AddDouble("rho-percent", &rho_percent, "support threshold in percent");
-  flags.AddInt64("start-length", &start_length, "first mined pattern length");
-  flags.AddInt64("max-length", &max_length, "pattern length cap (-1 = none)");
-  flags.AddInt64("n", &user_n, "MPP estimate of longest pattern (-1 = worst)");
-  flags.AddInt64("m", &em_order, "MPPm e_m order");
   flags.AddInt64("top", &top, "patterns shown (longest / highest ratio first)");
-  flags.AddInt64("threads", &threads,
-                 "worker threads mining whole fragments (1 = serial, 0 = one "
-                 "per hardware thread); results are identical at every "
-                 "thread count");
-  flags.AddString("kernel", &kernel,
-                  "join-kernel tier per fragment: auto | scalar | bits | "
-                  "avx2 (results are identical under every tier)");
-  flags.AddInt64("deadline-ms", &deadline_ms,
-                 "corpus-wide wall-clock budget in ms; later fragments are "
-                 "skipped on expiry, partial result stays sound (-1 = none)");
-  flags.AddInt64("pil-budget-bytes", &pil_budget_bytes,
-                 "per-fragment PIL memory budget in bytes (0 = unlimited)");
-  flags.AddInt64("max-level-candidates", &max_level_candidates,
-                 "cap on any single fragment's candidate total (0 = "
-                 "unlimited)");
-  flags.AddInt64("max-total-candidates", &max_total_candidates,
-                 "cap on candidates accumulated across the corpus (0 = "
-                 "unlimited)");
   flags.AddBool("no-mmap", &no_mmap,
                 "ingest FASTA through the buffered reader instead of the "
                 "memory-mapped scanner (same bytes, same result)");
   flags.AddString("csv", &csv_path,
                   "also write the aggregated patterns as CSV here");
-  flags.AddString("metrics-out", &metrics_path,
-                  "write run metrics (corpus.* + per-fragment mining "
-                  "counters) as deterministic JSON here");
-  flags.AddString("trace", &trace_path,
-                  "write the corpus trace (fragment_start/fragment_end "
-                  "bracketing each fragment's mining events) as JSON here");
-  flags.AddBool("trace-timings", &trace_timings,
-                "include wall-clock/worker fields in --trace output (not "
-                "byte-stable across runs)");
-  std::vector<std::string> storage = args;
-  storage.insert(storage.begin(), "pgm corpus");
-  std::vector<char*> argv;
-  for (std::string& s : storage) argv.push_back(s.data());
-  PGM_RETURN_IF_ERROR(flags.Parse(static_cast<int>(argv.size()), argv.data()));
-  if (input.empty()) {
-    return Status::InvalidArgument("--input is required\n" + flags.Usage());
-  }
+  exports.AddFlags(flags, /*with_timings=*/true);
+  PGM_RETURN_IF_ERROR(ParseFlags(flags, args));
+  if (input.empty()) return MissingFlag("input", flags);
   if (fragment_length <= 0) {
     return Status::InvalidArgument("--fragment-length must be positive");
   }
   if (max_fragments < 0) {
     return Status::InvalidArgument("--max-fragments must be non-negative");
-  }
-  if (pil_budget_bytes < 0 || max_level_candidates < 0 ||
-      max_total_candidates < 0) {
-    return Status::InvalidArgument(
-        "resource budgets must be non-negative (0 = unlimited)");
   }
 
   CorpusPlanOptions plan_options;
@@ -483,45 +430,21 @@ Status RunCorpus(const std::vector<std::string>& args, std::string* output,
     return Status::InvalidArgument(plan.EmptyPlanDiagnostic(plan_options));
   }
 
-  CorpusOptions options;
-  options.algorithm = algorithm;
-  options.miner.min_gap = min_gap;
-  options.miner.max_gap = max_gap;
-  options.miner.min_support_ratio = rho_percent / 100.0;
-  options.miner.start_length = start_length;
-  options.miner.max_length = max_length;
-  options.miner.user_n = user_n;
-  options.miner.em_order = em_order;
-  if (!KernelTierFromString(kernel, &options.miner.kernel_tier)) {
-    return Status::InvalidArgument(
-        "unknown --kernel '" + kernel + "' (auto | scalar | bits | avx2)");
-  }
-  options.miner.limits.pil_memory_budget_bytes =
-      static_cast<std::uint64_t>(pil_budget_bytes);
-  options.limits.deadline_ms = deadline_ms;
-  options.limits.max_level_candidates =
-      static_cast<std::uint64_t>(max_level_candidates);
-  options.limits.max_total_candidates =
-      static_cast<std::uint64_t>(max_total_candidates);
-  options.corpus_threads = threads;
-  options.cancel = &GlobalCancelToken();
-
-  MetricsRegistry metrics;
-  MiningTrace trace;
-  MiningObserver observer;
-  if (!metrics_path.empty()) observer.metrics = &metrics;
-  if (!trace_path.empty()) observer.trace = &trace;
-  if (observer.metrics != nullptr || observer.trace != nullptr) {
-    options.observer = &observer;
-  }
-
-  PGM_ASSIGN_OR_RETURN(CorpusResult corpus, MineCorpus(plan, options));
+  config.cancel = &GlobalCancelToken();
+  config.observer = exports.Observer();
+  // --threads fans out whole fragments; each fragment mines serially.
+  const std::int64_t corpus_threads = config.threads;
+  config.threads = 1;
+  PGM_ASSIGN_OR_RETURN(
+      CorpusResult corpus,
+      MineCorpus(plan, CorpusOptionsFor(algorithm, config, corpus_threads)));
 
   output->append(StrFormat(
       "corpus: %s; fragment_length=%lld keep_tail=%s; rho_s=%g%%; "
       "algorithm=%s\n",
       plan.Describe().c_str(), static_cast<long long>(fragment_length),
-      keep_tail ? "true" : "false", rho_percent, algorithm.c_str()));
+      keep_tail ? "true" : "false", config.min_support_ratio * 100.0,
+      algorithm.c_str()));
   for (const SkippedRecord& skipped : plan.skipped_records()) {
     output->append(StrFormat(
         "warning: record '%s' contributed no fragments (%zu symbol(s))\n",
@@ -585,18 +508,7 @@ Status RunCorpus(const std::vector<std::string>& args, std::string* output,
     output->append("wrote " + std::to_string(flat.patterns.size()) +
                    " patterns to " + csv_path + "\n");
   }
-  if (!metrics_path.empty()) {
-    PGM_RETURN_IF_ERROR(
-        WriteStringToFile(metrics_path, metrics.ToJson() + "\n"));
-    output->append("wrote metrics JSON to " + metrics_path + "\n");
-  }
-  if (!trace_path.empty()) {
-    TraceJsonOptions trace_options;
-    trace_options.include_volatile = trace_timings;
-    PGM_RETURN_IF_ERROR(
-        WriteStringToFile(trace_path, trace.ToJson(trace_options) + "\n"));
-    output->append("wrote trace JSON to " + trace_path + "\n");
-  }
+  PGM_RETURN_IF_ERROR(exports.Write(output));
   if (corpus.termination == TerminationReason::kCancelled &&
       GlobalCancelToken().cancelled()) {
     output->append(
@@ -613,23 +525,16 @@ Status RunCorpus(const std::vector<std::string>& args, std::string* output,
 
 Status RunEm(const std::vector<std::string>& args, std::string* output) {
   std::string input;
-  std::int64_t min_gap = 9, max_gap = 12, m = 10;
+  MinerConfig config = SectionSixConfig();
   FlagSet flags("pgm em: compute the e_m statistic (Theorem 2)");
   flags.AddString("input", &input, "input spec");
-  flags.AddInt64("min-gap", &min_gap, "minimum gap N");
-  flags.AddInt64("max-gap", &max_gap, "maximum gap M");
-  flags.AddInt64("m", &m, "order of the statistic");
-  std::vector<std::string> storage = args;
-  storage.insert(storage.begin(), "pgm em");
-  std::vector<char*> argv;
-  for (std::string& s : storage) argv.push_back(s.data());
-  PGM_RETURN_IF_ERROR(flags.Parse(static_cast<int>(argv.size()), argv.data()));
-  if (input.empty()) {
-    return Status::InvalidArgument("--input is required\n" + flags.Usage());
-  }
+  AddMinerFlags(flags, &config, {"min-gap", "max-gap", "m"});
+  PGM_RETURN_IF_ERROR(ParseFlags(flags, args));
+  if (input.empty()) return MissingFlag("input", flags);
   PGM_ASSIGN_OR_RETURN(Sequence sequence, LoadInput(input));
   PGM_ASSIGN_OR_RETURN(GapRequirement gap,
-                       GapRequirement::Create(min_gap, max_gap));
+                       GapRequirement::Create(config.min_gap, config.max_gap));
+  const std::int64_t m = config.em_order;
   PGM_ASSIGN_OR_RETURN(EmResult em, ComputeEm(sequence, gap, m));
   long double wm = 1.0L;
   for (std::int64_t i = 0; i < m; ++i) {
@@ -669,14 +574,8 @@ Status RunScan(const std::vector<std::string>& args, std::string* output) {
   flags.AddString("input", &input, "input spec");
   flags.AddString("pairs", &pairs, "comma-separated base pairs, e.g. AA,AT");
   flags.AddInt64("max-distance", &max_distance, "largest distance p");
-  std::vector<std::string> storage = args;
-  storage.insert(storage.begin(), "pgm scan");
-  std::vector<char*> argv;
-  for (std::string& s : storage) argv.push_back(s.data());
-  PGM_RETURN_IF_ERROR(flags.Parse(static_cast<int>(argv.size()), argv.data()));
-  if (input.empty()) {
-    return Status::InvalidArgument("--input is required\n" + flags.Usage());
-  }
+  PGM_RETURN_IF_ERROR(ParseFlags(flags, args));
+  if (input.empty()) return MissingFlag("input", flags);
   PGM_ASSIGN_OR_RETURN(Sequence sequence, LoadInput(input));
 
   for (const std::string& pair : Split(pairs, ',')) {
@@ -721,14 +620,8 @@ Status RunTandem(const std::vector<std::string>& args, std::string* output) {
   flags.AddInt64("min-copies", &min_copies, "minimum complete copies");
   flags.AddInt64("min-length", &min_length, "minimum region length shown");
   flags.AddInt64("top", &top, "repeats shown (longest first)");
-  std::vector<std::string> storage = args;
-  storage.insert(storage.begin(), "pgm tandem");
-  std::vector<char*> argv;
-  for (std::string& s : storage) argv.push_back(s.data());
-  PGM_RETURN_IF_ERROR(flags.Parse(static_cast<int>(argv.size()), argv.data()));
-  if (input.empty()) {
-    return Status::InvalidArgument("--input is required\n" + flags.Usage());
-  }
+  PGM_RETURN_IF_ERROR(ParseFlags(flags, args));
+  if (input.empty()) return MissingFlag("input", flags);
   PGM_ASSIGN_OR_RETURN(Sequence sequence, LoadInput(input));
   PGM_ASSIGN_OR_RETURN(std::vector<TandemRepeat> repeats,
                        FindTandemRepeats(sequence, max_period, min_copies));
@@ -776,11 +669,7 @@ Status RunCompare(const std::vector<std::string>& args, std::string* output) {
       "pgm mine --csv)");
   flags.AddBool("protein", &use_protein, "patterns use the protein alphabet");
   flags.AddInt64("examples", &examples, "unique-pattern examples shown");
-  std::vector<std::string> storage = args;
-  storage.insert(storage.begin(), "pgm compare");
-  std::vector<char*> argv;
-  for (std::string& s : storage) argv.push_back(s.data());
-  PGM_RETURN_IF_ERROR(flags.Parse(static_cast<int>(argv.size()), argv.data()));
+  PGM_RETURN_IF_ERROR(ParseFlags(flags, args));
   const std::vector<std::string>& paths = flags.positional_args();
   if (paths.size() < 2) {
     return Status::InvalidArgument(
@@ -842,14 +731,8 @@ Status RunGenerate(const std::vector<std::string>& args, std::string* output) {
   flags.AddInt64("length", &length, "genome length (ignored for ax829174)");
   flags.AddInt64("seed", &seed, "generation seed");
   flags.AddString("output", &out_path, "output FASTA path (required)");
-  std::vector<std::string> storage = args;
-  storage.insert(storage.begin(), "pgm generate");
-  std::vector<char*> argv;
-  for (std::string& s : storage) argv.push_back(s.data());
-  PGM_RETURN_IF_ERROR(flags.Parse(static_cast<int>(argv.size()), argv.data()));
-  if (out_path.empty()) {
-    return Status::InvalidArgument("--output is required\n" + flags.Usage());
-  }
+  PGM_RETURN_IF_ERROR(ParseFlags(flags, args));
+  if (out_path.empty()) return MissingFlag("output", flags);
   PGM_ASSIGN_OR_RETURN(
       Sequence sequence,
       LoadInput(StrFormat("preset:%s:%lld:%lld", preset.c_str(),
@@ -871,82 +754,72 @@ Status RunGenerate(const std::vector<std::string>& args, std::string* output) {
 // pgm serve
 // ---------------------------------------------------------------------------
 
-/// Parses one job-file line: `<input-spec> [key=value ...]`. Keys mirror the
-/// pgm mine flags (algorithm, min-gap, max-gap, rho-percent, start-length,
-/// max-length, n, m, threads, kernel, deadline-ms). `corpus=<len>` switches
-/// the job to corpus mode: the input is expanded into fragments of that
-/// length and mined by the corpus executor (corpus-keep-tail=1 keeps each
-/// record's sub-window remainder).
-Status ParseJobLine(const std::string& line, std::size_t line_number,
-                    MiningJob* job) {
-  std::vector<std::string> tokens;
-  for (const std::string& token : Split(line, ' ')) {
-    if (!token.empty()) tokens.push_back(token);
+/// The keys a job line takes, sorted: the job-only ones and the `pgm mine`
+/// names of the MinerOptions() rows.
+std::string JobKeys() {
+  std::vector<std::string> keys = {"algorithm", "corpus", "corpus-keep-tail"};
+  for (const MinerOption& option : MinerOptions()) {
+    if (!option.name.empty()) keys.emplace_back(option.name);
   }
+  std::sort(keys.begin(), keys.end());
+  return Join(keys, ", ");
+}
+
+/// Applies one `key=value` job token; NotFound for an unknown key.
+/// `corpus=<len>` switches the job to corpus mode: the input is expanded
+/// into fragments of that length and mined by the corpus executor;
+/// `corpus-keep-tail=1` also mines each record's sub-window remainder.
+Status SetJobKey(const std::string& key, const std::string& value,
+                 MiningJob* job) {
+  if (key == "algorithm") {
+    job->algorithm = value;
+    return Status::OK();
+  }
+  if (const MinerOption* option = FindMinerOption(key)) {
+    return option->set(value, &job->config);
+  }
+  if (key != "corpus" && key != "corpus-keep-tail") {
+    return Status::NotFound("unknown key");
+  }
+  PGM_ASSIGN_OR_RETURN(std::int64_t parsed, ParseInt64(value));
+  if (key == "corpus-keep-tail") {
+    job->corpus_keep_tail = parsed != 0;
+  } else if (parsed <= 0) {
+    return Status::InvalidArgument("fragment length must be positive");
+  } else {
+    job->corpus_fragment_length = static_cast<std::size_t>(parsed);
+  }
+  return Status::OK();
+}
+
+/// Parses one job-file line: `<input-spec> [key=value ...]`, tokens split
+/// on any whitespace. Errors name the line.
+Status ParseJobLine(std::string_view line, std::size_t line_number,
+                    MiningJob* job) {
+  const std::vector<std::string> tokens = Tokens(line);
   job->input = tokens.front();
   for (std::size_t i = 1; i < tokens.size(); ++i) {
     const std::size_t eq = tokens[i].find('=');
-    if (eq == std::string::npos) {
-      return Status::InvalidArgument(
-          StrFormat("jobs line %zu: expected key=value, got '%s'", line_number,
-                    tokens[i].c_str()));
-    }
     const std::string key = tokens[i].substr(0, eq);
-    const std::string value = tokens[i].substr(eq + 1);
-    if (key == "algorithm") {
-      job->algorithm = value;
-      continue;
+    std::string error;
+    if (eq == std::string::npos) {
+      error = "expected key=value, got '" + tokens[i] + "'";
+    } else if (Status status = SetJobKey(key, tokens[i].substr(eq + 1), job);
+               status.code() == StatusCode::kNotFound) {
+      error = "unknown key '" + key + "' (valid keys: " + JobKeys() + ")";
+    } else if (!status.ok()) {
+      error = "bad value for " + key + ": " + status.message();
     }
-    if (key == "rho-percent") {
-      PGM_ASSIGN_OR_RETURN(double parsed, ParseDouble(value));
-      job->config.min_support_ratio = parsed / 100.0;
-      continue;
-    }
-    if (key == "kernel") {
-      if (!KernelTierFromString(value, &job->config.kernel_tier)) {
-        return Status::InvalidArgument(
-            StrFormat("jobs line %zu: unknown kernel '%s'", line_number,
-                      value.c_str()));
-      }
-      continue;
-    }
-    PGM_ASSIGN_OR_RETURN(std::int64_t parsed, ParseInt64(value));
-    if (key == "min-gap") {
-      job->config.min_gap = parsed;
-    } else if (key == "max-gap") {
-      job->config.max_gap = parsed;
-    } else if (key == "start-length") {
-      job->config.start_length = parsed;
-    } else if (key == "max-length") {
-      job->config.max_length = parsed;
-    } else if (key == "n") {
-      job->config.user_n = parsed;
-    } else if (key == "m") {
-      job->config.em_order = parsed;
-    } else if (key == "threads") {
-      job->config.threads = parsed;
-    } else if (key == "deadline-ms") {
-      job->config.limits.deadline_ms = parsed;
-    } else if (key == "corpus") {
-      if (parsed <= 0) {
-        return Status::InvalidArgument(
-            StrFormat("jobs line %zu: corpus fragment length must be "
-                      "positive, got %lld",
-                      line_number, static_cast<long long>(parsed)));
-      }
-      job->corpus_fragment_length = static_cast<std::size_t>(parsed);
-    } else if (key == "corpus-keep-tail") {
-      job->corpus_keep_tail = parsed != 0;
-    } else {
+    if (!error.empty()) {
       return Status::InvalidArgument(
-          StrFormat("jobs line %zu: unknown key '%s'", line_number,
-                    key.c_str()));
+          StrFormat("jobs line %zu: %s", line_number, error.c_str()));
     }
   }
   return Status::OK();
 }
 
-/// One line per job response: machine-greppable outcome columns.
+/// One line per job response: machine-greppable outcome columns, then for
+/// a failed job the first line of its status message.
 void AppendResponseLine(const JobResponse& response, std::string* output) {
   output->append(StrFormat("job %lld %s %s: ",
                            static_cast<long long>(response.id),
@@ -971,6 +844,10 @@ void AppendResponseLine(const JobResponse& response, std::string* output) {
   if (response.load_attempts > 1) {
     output->append(StrFormat(" load_attempts=%d", response.load_attempts));
   }
+  const std::string& message = response.status.message();
+  if (!response.status.ok() && !message.empty()) {
+    output->append(": " + message.substr(0, message.find('\n')));
+  }
   output->append("\n");
 }
 
@@ -984,10 +861,13 @@ Status RunServe(const std::vector<std::string>& args, std::string* output,
   std::int64_t retry_attempts = 2;
   std::int64_t retry_base_ms = 1;
   std::int64_t retry_after_ms = 50;
-  std::string metrics_path;
-  std::string trace_path;
+  Exports exports;
 
-  FlagSet flags("pgm serve: run a batch of mining jobs as a bounded service");
+  FlagSet flags(
+      "pgm serve: run a batch of mining jobs as a bounded service\n"
+      "Job keys: " + JobKeys() + ". The mining keys take pgm mine's flag "
+      "values; unset ones keep the library defaults (min-gap 0, max-gap 0, "
+      "rho-percent 0), not pgm mine's.");
   flags.AddString("jobs", &jobs_path,
                   "job file: one '<input-spec> key=value ...' per line "
                   "('#' starts a comment)");
@@ -1006,18 +886,9 @@ Status RunServe(const std::vector<std::string>& args, std::string* output,
                  "first retry backoff; doubles per attempt");
   flags.AddInt64("retry-after-ms", &retry_after_ms,
                  "backoff hint attached to shed responses");
-  flags.AddString("metrics-out", &metrics_path,
-                  "write service+mining metrics as deterministic JSON here");
-  flags.AddString("trace", &trace_path,
-                  "write the job/mining trace as JSON here");
-  std::vector<std::string> storage = args;
-  storage.insert(storage.begin(), "pgm serve");
-  std::vector<char*> argv;
-  for (std::string& s : storage) argv.push_back(s.data());
-  PGM_RETURN_IF_ERROR(flags.Parse(static_cast<int>(argv.size()), argv.data()));
-  if (jobs_path.empty()) {
-    return Status::InvalidArgument("--jobs is required\n" + flags.Usage());
-  }
+  exports.AddFlags(flags, /*with_timings=*/false);
+  PGM_RETURN_IF_ERROR(ParseFlags(flags, args));
+  if (jobs_path.empty()) return MissingFlag("jobs", flags);
   if (queue_capacity <= 0 || workers < 0 || cache_bytes < 0 ||
       retry_attempts < 1 || retry_base_ms < 0 || retry_after_ms < 0) {
     return Status::InvalidArgument(
@@ -1033,19 +904,12 @@ Status RunServe(const std::vector<std::string>& args, std::string* output,
     std::string_view line = Trim(raw_line);
     if (line.empty() || line[0] == '#') continue;
     MiningJob job;
-    PGM_RETURN_IF_ERROR(
-        ParseJobLine(std::string(line), line_number, &job));
+    PGM_RETURN_IF_ERROR(ParseJobLine(line, line_number, &job));
     jobs.push_back(std::move(job));
   }
   if (jobs.empty()) {
     return Status::InvalidArgument("no jobs in " + jobs_path);
   }
-
-  MetricsRegistry metrics;
-  MiningTrace trace;
-  MiningObserver observer;
-  observer.metrics = &metrics;
-  if (!trace_path.empty()) observer.trace = &trace;
 
   ServiceConfig service_config;
   service_config.queue_capacity = static_cast<std::size_t>(queue_capacity);
@@ -1055,7 +919,9 @@ Status RunServe(const std::vector<std::string>& args, std::string* output,
   service_config.io_retry.max_attempts = static_cast<int>(retry_attempts);
   service_config.io_retry.base_delay_ms = retry_base_ms;
   service_config.retry_after_ms = retry_after_ms;
-  service_config.observer = &observer;
+  // The service always records its serve.* metrics; exporting is optional.
+  exports.observer.metrics = &exports.metrics;
+  service_config.observer = exports.Observer();
   service_config.loader = [](const std::string& spec) {
     return LoadInput(spec);
   };
@@ -1110,16 +976,7 @@ Status RunServe(const std::vector<std::string>& args, std::string* output,
       "%zu cache hits\n",
       responses.size(), completed, partial, shed, failed, hits));
 
-  if (!metrics_path.empty()) {
-    PGM_RETURN_IF_ERROR(
-        WriteStringToFile(metrics_path, metrics.ToJson() + "\n"));
-    output->append("wrote metrics JSON to " + metrics_path + "\n");
-  }
-  if (!trace_path.empty()) {
-    PGM_RETURN_IF_ERROR(
-        WriteStringToFile(trace_path, trace.ToJson() + "\n"));
-    output->append("wrote trace JSON to " + trace_path + "\n");
-  }
+  PGM_RETURN_IF_ERROR(exports.Write(output));
   if (GlobalCancelToken().cancelled()) {
     output->append("interrupted: drained gracefully; partial results above "
                    "are sound\n");
@@ -1233,10 +1090,7 @@ int Run(int argc, char** argv, std::string* output) {
 
 int RunFromString(const std::string& command_line, std::string* output,
                   std::string* error) {
-  std::vector<std::string> tokens;
-  for (const std::string& token : Split(command_line, ' ')) {
-    if (!token.empty()) tokens.push_back(token);
-  }
+  std::vector<std::string> tokens = Tokens(command_line);
   std::vector<char*> argv;
   for (std::string& token : tokens) argv.push_back(token.data());
   return Run(static_cast<int>(argv.size()), argv.data(), output,

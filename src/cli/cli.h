@@ -76,8 +76,8 @@ int Run(int argc, char** argv, std::string* output, std::string* error);
 /// Backwards-compatible overload: diagnostics are appended to *output.
 int Run(int argc, char** argv, std::string* output);
 
-/// Convenience for tests: tokenizes `command_line` on spaces (no quoting)
-/// and calls Run.
+/// Convenience for tests: tokenizes `command_line` on whitespace (no
+/// quoting) and calls Run.
 int RunFromString(const std::string& command_line, std::string* output,
                   std::string* error = nullptr);
 

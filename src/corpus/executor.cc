@@ -77,6 +77,24 @@ MiningResult CorpusResult::ToMiningResult() const {
   return result;
 }
 
+CorpusOptions CorpusOptionsFor(const std::string& algorithm,
+                               const MinerConfig& config,
+                               std::int64_t corpus_threads) {
+  CorpusOptions options;
+  options.algorithm = algorithm;
+  options.miner = config;
+  options.miner.cancel = nullptr;
+  options.miner.observer = nullptr;
+  options.miner.limits = ResourceLimits{};
+  options.miner.limits.pil_memory_budget_bytes =
+      config.limits.pil_memory_budget_bytes;
+  options.limits = config.limits;
+  options.corpus_threads = corpus_threads;
+  options.cancel = config.cancel;
+  options.observer = config.observer;
+  return options;
+}
+
 StatusOr<CorpusResult> MineCorpus(const CorpusPlan& plan,
                                   const CorpusOptions& options) {
   if (plan.fragments().empty()) {

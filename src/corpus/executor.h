@@ -96,6 +96,14 @@ struct CorpusOptions {
   CorpusLedger* ledger = nullptr;
 };
 
+/// Routes a single-run MinerConfig into corpus options: the deadline and
+/// both candidate caps govern the whole corpus, the PIL budget applies to
+/// each fragment, and the cancel token and observer move to the corpus
+/// level. `config.threads` stays the within-fragment parallelism.
+CorpusOptions CorpusOptionsFor(const std::string& algorithm,
+                               const MinerConfig& config,
+                               std::int64_t corpus_threads);
+
 /// One fragment's outcome inside a CorpusResult.
 struct FragmentResult {
   // Identity (copied from the plan's CorpusFragment).

@@ -12,14 +12,15 @@ namespace pgm {
 /// Renders the semantic fields of `config` — the ones that determine which
 /// patterns a completed run emits — as a canonical string: `key=value;`
 /// pairs sorted by key, doubles in `%a` hex-float form so the rendering is
-/// exact and locale-independent.
+/// exact and locale-independent. The fields are the MinerOptions() rows
+/// marked `cache_key` (core/miner_options.h), keyed by their field names.
 ///
-/// Volatile fields are deliberately excluded: `threads`, `observer`,
-/// `cancel`, and `limits` never change a *completed* result (the guard only
-/// observes, and the parallel merge is candidate-ordered), so two requests
-/// that differ only in those fields may share a cache entry. The cache in
-/// turn stores only completed results, which is what makes the exclusion
-/// sound.
+/// Execution options are deliberately excluded: `threads`, `kernel_tier`,
+/// `limits`, `observer` and `cancel` never change a *completed* result (the
+/// guard only observes, the parallel merge is candidate-ordered, and every
+/// kernel tier emits identical rows), so two requests that differ only in
+/// those fields may share a cache entry. The cache in turn stores only
+/// completed results, which is what makes the exclusion sound.
 std::string CanonicalConfigString(const std::string& algorithm,
                                   const MinerConfig& config);
 

@@ -208,6 +208,17 @@ ResourceLimits MiningService::ClampLimits(const ResourceLimits& requested) const
   return effective;
 }
 
+MinerConfig MiningService::RunConfig(const MinerConfig& requested) {
+  MinerConfig config = requested;
+  config.limits = ClampLimits(requested.limits);
+  if (config.limits.deadline_ms != requested.limits.deadline_ms) {
+    metrics_->GetCounter("serve.deadline.clamped")->Increment();
+  }
+  config.cancel = &cancel_;
+  config.observer = config_.observer;
+  return config;
+}
+
 void MiningService::WorkerDrainLoop() {
   MiningJob job;
   while (queue_.Pop(&job)) {
@@ -294,13 +305,7 @@ void MiningService::ExecuteSingle(const MiningJob& job,
   }
 
   // Phase 3: clamp budgets and execute under the drain token.
-  MinerConfig run_config = job.config;
-  run_config.limits = ClampLimits(job.config.limits);
-  if (run_config.limits.deadline_ms != job.config.limits.deadline_ms) {
-    metrics_->GetCounter("serve.deadline.clamped")->Increment();
-  }
-  run_config.cancel = &cancel_;
-  run_config.observer = config_.observer;
+  const MinerConfig run_config = RunConfig(job.config);
 
   StatusOr<MiningResult> mined =
       RunAlgorithm(job.algorithm, *sequence, run_config);
@@ -347,30 +352,12 @@ void MiningService::ExecuteCorpus(const MiningJob& job,
     return;
   }
 
-  // Budgets are clamped against the same server ceilings as ordinary jobs;
-  // the deadline and candidate caps govern the whole corpus, while the PIL
-  // budget applies per fragment (fragments are independent runs).
-  const ResourceLimits clamped = ClampLimits(job.config.limits);
-  if (clamped.deadline_ms != job.config.limits.deadline_ms) {
-    metrics_->GetCounter("serve.deadline.clamped")->Increment();
-  }
-  CorpusOptions options;
-  options.algorithm = job.algorithm;
-  options.miner = job.config;
-  options.miner.cancel = nullptr;    // the executor attaches options.cancel
-  options.miner.observer = nullptr;  // the executor interposes per-fragment
-  options.miner.limits = ResourceLimits{};
-  options.miner.limits.pil_memory_budget_bytes =
-      clamped.pil_memory_budget_bytes;
-  options.limits = clamped;
   // Fragment fan-out stays serial inside the service: the service already
   // parallelizes across jobs, and serial fragments keep one corpus job from
   // starving the other workers' CPUs.
-  options.corpus_threads = 1;
-  options.cancel = &cancel_;
-  options.observer = config_.observer;
-
-  StatusOr<CorpusResult> corpus = MineCorpus(*plan, options);
+  StatusOr<CorpusResult> corpus = MineCorpus(
+      *plan, CorpusOptionsFor(job.algorithm, RunConfig(job.config),
+                              /*corpus_threads=*/1));
   if (!corpus.ok()) {
     response->status = corpus.status();
     return;

@@ -133,6 +133,9 @@ class MiningService {
   /// Corpus results bypass the ResultCache — the cache key is built from
   /// one sequence's bytes and a corpus never materializes as one sequence.
   void ExecuteCorpus(const MiningJob& job, JobResponse* response);
+  /// `requested` with budgets clamped (a clamped deadline is counted) and
+  /// the drain token and service observer attached.
+  MinerConfig RunConfig(const MinerConfig& requested);
   /// Loads the job's input with transient-fault retry. Sets *attempts.
   StatusOr<Sequence> LoadWithRetry(const std::string& input, int* attempts);
   void RecordResponse(JobResponse response);

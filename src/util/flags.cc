@@ -9,22 +9,52 @@ FlagSet::FlagSet(std::string program_description)
 
 void FlagSet::AddInt64(const std::string& name, std::int64_t* value,
                        const std::string& help) {
-  flags_[name] = Flag{Type::kInt64, value, help, std::to_string(*value)};
+  AddCallback(name, help, std::to_string(*value),
+              [value](const std::string& text) -> Status {
+                PGM_ASSIGN_OR_RETURN(*value, ParseInt64(text));
+                return Status::OK();
+              });
 }
 
 void FlagSet::AddDouble(const std::string& name, double* value,
                         const std::string& help) {
-  flags_[name] = Flag{Type::kDouble, value, help, StrFormat("%g", *value)};
+  AddCallback(name, help, StrFormat("%g", *value),
+              [value](const std::string& text) -> Status {
+                PGM_ASSIGN_OR_RETURN(*value, ParseDouble(text));
+                return Status::OK();
+              });
 }
 
 void FlagSet::AddString(const std::string& name, std::string* value,
                         const std::string& help) {
-  flags_[name] = Flag{Type::kString, value, help, *value};
+  AddCallback(name, help, *value, [value](const std::string& text) {
+    *value = text;
+    return Status::OK();
+  });
 }
 
 void FlagSet::AddBool(const std::string& name, bool* value,
                       const std::string& help) {
-  flags_[name] = Flag{Type::kBool, value, help, *value ? "true" : "false"};
+  AddCallback(name, help, *value ? "true" : "false",
+              [value](const std::string& text) -> Status {
+                const std::string lower = ToLower(text);
+                if (lower == "true" || lower == "1" || lower.empty()) {
+                  *value = true;
+                } else if (lower == "false" || lower == "0") {
+                  *value = false;
+                } else {
+                  return Status::InvalidArgument("expected a boolean, got '" +
+                                                 text + "'");
+                }
+                return Status::OK();
+              });
+  flags_[name].is_bool = true;
+}
+
+void FlagSet::AddCallback(const std::string& name, const std::string& help,
+                          const std::string& default_repr,
+                          std::function<Status(const std::string&)> set) {
+  flags_[name] = Flag{std::move(set), help, default_repr};
 }
 
 Status FlagSet::SetFlag(const std::string& name, const std::string& value) {
@@ -32,39 +62,13 @@ Status FlagSet::SetFlag(const std::string& name, const std::string& value) {
   if (it == flags_.end()) {
     return Status::InvalidArgument("unknown flag --" + name + "\n" + Usage());
   }
-  Flag& flag = it->second;
-  switch (flag.type) {
-    case Type::kInt64: {
-      PGM_ASSIGN_OR_RETURN(*static_cast<std::int64_t*>(flag.target),
-                           ParseInt64(value));
-      return Status::OK();
-    }
-    case Type::kDouble: {
-      PGM_ASSIGN_OR_RETURN(*static_cast<double*>(flag.target),
-                           ParseDouble(value));
-      return Status::OK();
-    }
-    case Type::kString:
-      *static_cast<std::string*>(flag.target) = value;
-      return Status::OK();
-    case Type::kBool: {
-      std::string lower = ToLower(value);
-      if (lower == "true" || lower == "1" || lower.empty()) {
-        *static_cast<bool*>(flag.target) = true;
-      } else if (lower == "false" || lower == "0") {
-        *static_cast<bool*>(flag.target) = false;
-      } else {
-        return Status::InvalidArgument("bad boolean value for --" + name +
-                                       ": '" + value + "'");
-      }
-      return Status::OK();
-    }
-  }
-  return Status::Internal("unreachable flag type");
+  Status status = it->second.set(value);
+  if (status.ok()) return status;
+  return Status::InvalidArgument("bad value for --" + name + ": " +
+                                 status.message());
 }
 
 Status FlagSet::Parse(int argc, char** argv) {
-  if (argc > 0) program_name_ = argv[0];
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
     if (arg == "--help" || arg == "-h") {
@@ -84,7 +88,7 @@ Status FlagSet::Parse(int argc, char** argv) {
     if (it == flags_.end()) {
       return Status::InvalidArgument("unknown flag --" + body + "\n" + Usage());
     }
-    if (it->second.type == Type::kBool) {
+    if (it->second.is_bool) {
       PGM_RETURN_IF_ERROR(SetFlag(body, "true"));
       continue;
     }

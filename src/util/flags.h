@@ -2,6 +2,7 @@
 #define PGM_UTIL_FLAGS_H_
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <string>
 #include <vector>
@@ -26,6 +27,12 @@ class FlagSet {
   void AddString(const std::string& name, std::string* value,
                  const std::string& help);
   void AddBool(const std::string& name, bool* value, const std::string& help);
+  /// Registers a flag whose value `set` parses, validates and stores itself
+  /// (for options declared as data elsewhere, such as the MinerConfig
+  /// option table). `default_repr` is the default Usage() shows.
+  void AddCallback(const std::string& name, const std::string& help,
+                   const std::string& default_repr,
+                   std::function<Status(const std::string&)> set);
 
   /// Parses argv. On `--help` returns a NotFound status whose message is the
   /// usage text (callers print it and exit 0).
@@ -39,18 +46,17 @@ class FlagSet {
   std::string Usage() const;
 
  private:
-  enum class Type { kInt64, kDouble, kString, kBool };
   struct Flag {
-    Type type;
-    void* target;
+    std::function<Status(const std::string&)> set;
     std::string help;
     std::string default_repr;
+    /// A bare `--name` (no value) means true.
+    bool is_bool = false;
   };
 
   Status SetFlag(const std::string& name, const std::string& value);
 
   std::string description_;
-  std::string program_name_;
   std::map<std::string, Flag> flags_;
   std::vector<std::string> positional_args_;
 };

@@ -4,6 +4,8 @@
 
 #include <cstdio>
 
+#include "core/kernel.h"
+#include "core/miner_options.h"
 #include "seq/fasta.h"
 
 namespace pgm::cli {
@@ -66,6 +68,43 @@ TEST(CliInputTest, FastaFileWithRecordSelection) {
   EXPECT_EQ(second->ToString(), "TTTT");
   EXPECT_FALSE(LoadInput("fasta:" + path + "#three").ok());
   std::remove(path.c_str());
+}
+
+TEST(CliInputTest, CorpusInputExpandsEveryRecordOrTheNamedOne) {
+  const std::string path = testing::TempDir() + "/cli_corpus.fa";
+  ASSERT_TRUE(WriteFastaFile(path, {{"one", "", "ACGTACGT"},
+                                    {"two", "", "TTTTGGGGCCCC"}})
+                  .ok());
+  CorpusPlanOptions options;
+  options.fragment.fragment_length = 4;
+  for (const bool use_mmap : {true, false}) {
+    StatusOr<CorpusPlan> all = LoadCorpusInput("fasta:" + path, options,
+                                               use_mmap);
+    ASSERT_TRUE(all.ok()) << all.status();
+    EXPECT_EQ(all->num_records(), 2u);
+    EXPECT_EQ(all->fragments().size(), 5u);
+    EXPECT_EQ(all->used_mmap(), use_mmap);
+  }
+  StatusOr<CorpusPlan> two = LoadCorpusInput("fasta:" + path + "#two",
+                                             options);
+  ASSERT_TRUE(two.ok()) << two.status();
+  ASSERT_EQ(two->fragments().size(), 3u);
+  EXPECT_EQ(two->fragments().front().record_id, "two");
+  EXPECT_EQ(LoadCorpusInput("fasta:" + path + "#three", options)
+                .status()
+                .code(),
+            StatusCode::kNotFound);
+  std::remove(path.c_str());
+
+  // Other kinds become one pseudo-record named by the spec.
+  StatusOr<CorpusPlan> raw = LoadCorpusInput("raw:LWLWLWLW@protein", options);
+  ASSERT_TRUE(raw.ok()) << raw.status();
+  EXPECT_EQ(raw->fragments().front().record_id, "raw:LWLWLWLW@protein");
+  EXPECT_EQ(raw->fragments().front().sequence.alphabet().size(), 20u);
+  EXPECT_EQ(LoadCorpusInput("fasta:", options).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(LoadCorpusInput("ACGT", options).status().code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST(CliInputTest, TextFileDropsNonAlphabet) {
@@ -583,6 +622,83 @@ TEST(CliServeTest, UnknownJobKeyIsRejected) {
   EXPECT_NE(error.find("unknown key 'frobnicate'"), std::string::npos);
 }
 
+TEST(CliServeTest, BadJobValueNamesTheLineAndKey) {
+  const std::string jobs = WriteJobsFile(
+      "serve_badvalue.jobs",
+      "raw:ACGT rho-percent=50\nraw:ACGT rho-percent=50 min-gap=x\n");
+  std::string output, error;
+  const int code = RunFromString("pgm serve --jobs " + jobs, &output, &error);
+  std::remove(jobs.c_str());
+  EXPECT_EQ(code, 2) << error;
+  EXPECT_NE(error.find("jobs line 2: bad value for min-gap: trailing garbage "
+                       "in integer: 'x'"),
+            std::string::npos)
+      << error;
+}
+
+TEST(CliServeTest, TabsSeparateJobTokens) {
+  const std::string jobs = WriteJobsFile(
+      "serve_tabs.jobs",
+      "raw:ACGTACGTACGGTTACACGTACGT\trho-percent=50 \t max-gap=1\n");
+  std::string output;
+  const int code = RunFromString("pgm serve --jobs " + jobs, &output);
+  std::remove(jobs.c_str());
+  EXPECT_EQ(code, 0) << output;
+  EXPECT_NE(output.find("job 1 raw:ACGTACGTACGGTTACACGTACGT mpp: completed"),
+            std::string::npos)
+      << output;
+}
+
+TEST(CliServeTest, UnknownJobKeyListsTheValidKeys) {
+  const std::string jobs =
+      WriteJobsFile("serve_listkeys.jobs", "raw:ACGT frobnicate=1\n");
+  std::string output, error;
+  const int code = RunFromString("pgm serve --jobs " + jobs, &output, &error);
+  std::remove(jobs.c_str());
+  EXPECT_EQ(code, 2) << error;
+  EXPECT_NE(error.find("jobs line 1: unknown key 'frobnicate' (valid keys: "
+                       "algorithm, corpus, corpus-keep-tail,"),
+            std::string::npos)
+      << error;
+  for (const MinerOption& option : MinerOptions()) {
+    if (option.name.empty()) continue;
+    EXPECT_NE(error.find(std::string(option.name)), std::string::npos)
+        << option.name;
+  }
+}
+
+TEST(CliServeTest, FailedJobResponseSaysWhy) {
+  const std::string jobs = WriteJobsFile(
+      "serve_why.jobs",
+      "raw:ACGTACGTACGT max-gap=1\n"
+      "fasta:/nonexistent-dir-xyz/missing.fa rho-percent=50\n");
+  std::string output;
+  const int code = RunFromString("pgm serve --jobs " + jobs, &output);
+  std::remove(jobs.c_str());
+  EXPECT_EQ(code, 0) << output;
+  // No rho-percent: the library default ratio 0 is rejected by the miner.
+  EXPECT_NE(output.find("job 1 raw:ACGTACGTACGT mpp: InvalidArgument: "
+                        "min_support_ratio must lie in (0, 1]"),
+            std::string::npos)
+      << output;
+  // The leading columns stay greppable; the reason comes last.
+  EXPECT_NE(output.find("IoError load_attempts=2: cannot open"),
+            std::string::npos)
+      << output;
+}
+
+TEST(CliServeTest, HelpListsTheJobKeys) {
+  std::string output;
+  EXPECT_EQ(RunFromString("pgm serve --help", &output), 0);
+  const std::size_t keys = output.find("Job keys: ");
+  ASSERT_NE(keys, std::string::npos) << output;
+  for (const MinerOption& option : MinerOptions()) {
+    if (option.name.empty()) continue;
+    EXPECT_NE(output.find(std::string(option.name), keys), std::string::npos)
+        << option.name;
+  }
+}
+
 TEST(CliServeTest, EmptyJobsFileIsError) {
   const std::string jobs = WriteJobsFile("serve_empty.jobs", "# nothing\n\n");
   std::string output, error;
@@ -642,6 +758,154 @@ TEST(CliServeTest, MetricsAndTraceExportsCoverTheJobLifecycle) {
   EXPECT_NE(trace.find("\"kind\": \"job_admitted\""), std::string::npos);
   EXPECT_NE(trace.find("\"kind\": \"job_start\""), std::string::npos);
   EXPECT_NE(trace.find("\"kind\": \"job_end\""), std::string::npos);
+}
+
+// ---------------------------------------------------------------------------
+// pgm corpus
+// ---------------------------------------------------------------------------
+
+// A finished pgm run, kept with its command line so a failed expectation
+// can say what ran.
+struct CliRun {
+  std::string command;
+  int exit_code = 0;
+  std::string out;
+  std::string err;
+};
+
+CliRun RunCli(const std::string& command) {
+  CliRun run;
+  run.command = command;
+  run.exit_code = RunFromString(command, &run.out, &run.err);
+  return run;
+}
+
+#define EXPECT_SUCCESS(run)                                               \
+  EXPECT_EQ((run).exit_code, 0) << "Command: " << (run).command << "\n" \
+                                << (run).err
+#define EXPECT_USAGE_ERROR(run)                                           \
+  EXPECT_EQ((run).exit_code, 2) << "Command: " << (run).command << "\n" \
+                                << (run).out
+
+TEST(CliCorpusTest, MinesAPresetFragmentByFragment) {
+  const CliRun run = RunCli(
+      "pgm corpus --input preset:bacteria:6000:1 --fragment-length 2000 "
+      "--min-gap 1 --max-gap 3 --rho-percent 0.5 --start-length 2 --top 3");
+  EXPECT_SUCCESS(run);
+  EXPECT_NE(run.out.find("corpus: 1 record(s), 3 fragment(s), 6000 "
+                         "symbol(s); fragment_length=2000 keep_tail=false; "
+                         "rho_s=0.5%; algorithm=mppm"),
+            std::string::npos)
+      << run.out;
+  EXPECT_NE(run.out.find("fragments: 3 planned, 3 mined, 3 completed, 0 "
+                         "skipped, 0 failed"),
+            std::string::npos)
+      << run.out;
+  EXPECT_NE(run.out.find("termination: completed"), std::string::npos);
+  EXPECT_NE(run.out.find("distinct frequent pattern(s) across the corpus"),
+            std::string::npos);
+}
+
+TEST(CliCorpusTest, BudgetsSplitBetweenCorpusAndFragments) {
+  const std::string base =
+      "pgm corpus --input preset:bacteria:6000:1 --fragment-length 2000 "
+      "--min-gap 1 --max-gap 3 --rho-percent 0.5 --start-length 2 --top 3 ";
+  // The PIL budget applies to each fragment: every fragment still runs.
+  const CliRun pil = RunCli(base + "--pil-budget-bytes 1");
+  EXPECT_SUCCESS(pil);
+  EXPECT_NE(pil.out.find("3 planned, 3 mined, 0 completed, 0 skipped"),
+            std::string::npos)
+      << pil.out;
+  // A fragment over the candidate cap stops the fragments not yet started.
+  const CliRun capped = RunCli(base + "--max-level-candidates 5");
+  EXPECT_SUCCESS(capped);
+  EXPECT_NE(capped.out.find("3 planned, 1 mined, 1 completed, 2 skipped"),
+            std::string::npos)
+      << capped.out;
+  EXPECT_NE(capped.out.find("termination: candidate-cap"), std::string::npos);
+}
+
+// ---------------------------------------------------------------------------
+// The option table on every surface
+// ---------------------------------------------------------------------------
+
+// Valid for every option on the small inputs below.
+MinerConfig ValidTableConfig() {
+  MinerConfig config;
+  config.min_gap = 1;
+  config.max_gap = 2;
+  config.min_support_ratio = 0.5;
+  config.start_length = 1;
+  config.max_length = 4;
+  config.user_n = 3;
+  config.em_order = 2;
+  config.threads = 2;
+  config.kernel_tier = KernelTier::kScalar;
+  config.limits.deadline_ms = 600'000;
+  config.limits.pil_memory_budget_bytes = 1 << 30;
+  config.limits.max_level_candidates = 1'000'000;
+  config.limits.max_total_candidates = 1'000'000;
+  return config;
+}
+
+TEST(CliOptionTableTest, EveryOptionIsAMineAndCorpusFlagAndAJobKey) {
+  const std::string input = "raw:ACGTACGTACGGTTACACGTACGT";
+  const std::string flags =
+      " --min-gap 1 --max-gap 2 --rho-percent 50 --start-length 1 --";
+  const std::string keys =
+      " min-gap=1 max-gap=2 rho-percent=50 start-length=1 ";
+  for (const MinerOption& option : MinerOptions()) {
+    if (option.name.empty()) continue;
+    const std::string name(option.name);
+    std::string valid;
+    option.render(ValidTableConfig(), OptionText::kUser, &valid);
+    for (const std::string& value : {valid, std::string("x")}) {
+      const CliRun mine =
+          RunCli("pgm mine --input " + input + flags + name + " " + value);
+      const CliRun corpus = RunCli("pgm corpus --input " + input +
+                                   " --fragment-length 12" + flags + name +
+                                   " " + value);
+      const std::string jobs = WriteJobsFile(
+          "option_table.jobs", input + keys + name + "=" + value + "\n");
+      const CliRun serve = RunCli("pgm serve --jobs " + jobs);
+      std::remove(jobs.c_str());
+      if (value == valid) {
+        EXPECT_SUCCESS(mine);
+        EXPECT_SUCCESS(corpus);
+        EXPECT_SUCCESS(serve);
+        EXPECT_NE(serve.out.find("1 completed"), std::string::npos)
+            << "Jobs line: " << input + keys + name + "=" + value << "\n"
+            << serve.out;
+      } else {
+        EXPECT_USAGE_ERROR(mine);
+        EXPECT_USAGE_ERROR(corpus);
+        EXPECT_USAGE_ERROR(serve);
+        EXPECT_NE(mine.err.find("bad value for --" + name), std::string::npos)
+            << mine.err;
+        EXPECT_NE(corpus.err.find("bad value for --" + name),
+                  std::string::npos)
+            << corpus.err;
+        EXPECT_NE(serve.err.find("jobs line 1: bad value for " + name),
+                  std::string::npos)
+            << serve.err;
+      }
+    }
+  }
+}
+
+TEST(CliOptionTableTest, EmTakesTheGapAndOrderOptions) {
+  EXPECT_SUCCESS(RunCli("pgm em --input raw:ACGTCCGT --min-gap 1 --max-gap 2 "
+                        "--m 2"));
+  for (const char* flag : {"min-gap", "max-gap", "m"}) {
+    const CliRun bad =
+        RunCli(std::string("pgm em --input raw:ACGTCCGT --") + flag + " x");
+    EXPECT_USAGE_ERROR(bad);
+    EXPECT_NE(bad.err.find(std::string("bad value for --") + flag),
+              std::string::npos)
+        << bad.err;
+  }
+  // The other mining options are not em flags.
+  EXPECT_USAGE_ERROR(RunCli("pgm em --input raw:ACGTCCGT --threads 2"));
 }
 
 // ---------------------------------------------------------------------------

@@ -356,6 +356,40 @@ TEST(CorpusExecutorTest, ToMiningResultCarriesTheAggregate) {
   EXPECT_EQ(flat.guaranteed_complete_up_to, corpus.guaranteed_complete_up_to);
 }
 
+TEST(CorpusExecutorTest, CorpusOptionsForRoutesEachBudget) {
+  MinerConfig config = TinyConfig(1, 2, 0.02);
+  config.threads = 3;
+  config.limits.deadline_ms = 500;
+  config.limits.pil_memory_budget_bytes = 4096;
+  config.limits.max_level_candidates = 70;
+  config.limits.max_total_candidates = 900;
+  CancelToken cancel;
+  MiningObserver observer;
+  config.cancel = &cancel;
+  config.observer = &observer;
+
+  const CorpusOptions options = CorpusOptionsFor("mpp", config, 4);
+  EXPECT_EQ(options.algorithm, "mpp");
+  EXPECT_EQ(options.corpus_threads, 4);
+  // The deadline and candidate caps govern the whole corpus...
+  EXPECT_EQ(options.limits.deadline_ms, 500);
+  EXPECT_EQ(options.limits.max_level_candidates, 70u);
+  EXPECT_EQ(options.limits.max_total_candidates, 900u);
+  // ...the PIL budget applies to each fragment...
+  EXPECT_EQ(options.miner.limits.pil_memory_budget_bytes, 4096u);
+  EXPECT_EQ(options.miner.limits.deadline_ms, -1);
+  EXPECT_EQ(options.miner.limits.max_level_candidates, 0u);
+  EXPECT_EQ(options.miner.limits.max_total_candidates, 0u);
+  // ...and the plumbing moves to the corpus level.
+  EXPECT_EQ(options.cancel, &cancel);
+  EXPECT_EQ(options.observer, &observer);
+  EXPECT_EQ(options.miner.cancel, nullptr);
+  EXPECT_EQ(options.miner.observer, nullptr);
+  EXPECT_EQ(options.miner.threads, 3);
+  EXPECT_EQ(options.miner.min_gap, 1);
+  EXPECT_EQ(options.miner.max_gap, 2);
+}
+
 // --- Serve-layer corpus jobs --------------------------------------------
 
 ServiceConfig CorpusServiceConfig() {

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include "core/kernel.h"
+#include "core/miner_options.h"
 #include "serve/canonical.h"
 #include "seq/alphabet.h"
 #include "seq/sequence.h"
@@ -98,6 +100,44 @@ TEST(CanonicalTest, SemanticFieldsChangeTheKey) {
   EXPECT_NE(CacheKey(Acgt(), "mpp", ratio), base);
 
   EXPECT_NE(CacheKey(Acgt(), "mppm", MinerConfig{}), base);
+}
+
+TEST(CanonicalTest, EachOptionChangesTheKeyIffItIsCacheRelevant) {
+  // Differs from MinerConfig{} in every field an option row covers.
+  MinerConfig other;
+  other.min_gap = 1;
+  other.max_gap = 5;
+  other.min_support_ratio = 0.25;
+  other.start_length = 2;
+  other.max_length = 7;
+  other.user_n = 4;
+  other.em_order = 3;
+  other.use_em_bound = false;
+  other.initial_n = 5;
+  other.max_iterations = 3;
+  other.threads = 8;
+  other.kernel_tier = KernelTier::kScalar;
+  other.limits.deadline_ms = 1234;
+  other.limits.pil_memory_budget_bytes = 1 << 20;
+  other.limits.max_level_candidates = 99;
+  other.limits.max_total_candidates = 999;
+
+  const MinerConfig defaults;
+  const std::string base = CacheKey(Acgt(), "mpp", defaults);
+  for (const MinerOption& option : MinerOptions()) {
+    // Set the field from its user text: that text must round-trip exactly.
+    std::string text, before, expected, after;
+    option.render(other, OptionText::kUser, &text);
+    MinerConfig config;
+    ASSERT_TRUE(option.set(text, &config).ok()) << option.field;
+    option.render(defaults, OptionText::kExact, &before);
+    option.render(other, OptionText::kExact, &expected);
+    option.render(config, OptionText::kExact, &after);
+    ASSERT_NE(expected, before) << option.field << " kept its default";
+    ASSERT_EQ(after, expected) << option.field << " did not round-trip";
+    EXPECT_EQ(CacheKey(Acgt(), "mpp", config) != base, option.cache_key)
+        << option.field;
+  }
 }
 
 TEST(CanonicalTest, SequenceChangesTheKey) {

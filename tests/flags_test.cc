@@ -112,6 +112,40 @@ TEST(FlagsTest, RejectsBadInteger) {
   EXPECT_FALSE(flags.Parse(args.argc(), args.argv()).ok());
 }
 
+TEST(FlagsTest, CallbackFlagParsesThroughItsSetter) {
+  FlagSet flags("test");
+  std::string seen;
+  flags.AddCallback("level", "a checked level", "low",
+                    [&seen](const std::string& text) -> Status {
+                      if (text != "low" && text != "high") {
+                        return Status::InvalidArgument("not a level");
+                      }
+                      seen = text;
+                      return Status::OK();
+                    });
+  Args good({"prog", "--level", "high"});
+  ASSERT_TRUE(flags.Parse(good.argc(), good.argv()).ok());
+  EXPECT_EQ(seen, "high");
+  EXPECT_NE(flags.Usage().find("(default: low)"), std::string::npos);
+
+  Args bad({"prog", "--level=mid"});
+  const Status status = flags.Parse(bad.argc(), bad.argv());
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(status.message().find("bad value for --level: not a level"),
+            std::string::npos)
+      << status.message();
+}
+
+TEST(FlagsTest, BadValueErrorsNameTheFlag) {
+  FlagSet flags("test");
+  std::int64_t n = 0;
+  flags.AddInt64("n", &n, "an int");
+  Args args({"prog", "--n=abc"});
+  const Status status = flags.Parse(args.argc(), args.argv());
+  EXPECT_NE(status.message().find("--n"), std::string::npos)
+      << status.message();
+}
+
 TEST(FlagsTest, CollectsPositionalArgs) {
   FlagSet flags("test");
   std::int64_t n = 0;
