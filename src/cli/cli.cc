@@ -155,8 +155,7 @@ StatusOr<Sequence> LoadInput(const std::string& spec) {
 }
 
 StatusOr<CorpusPlan> LoadCorpusInput(const std::string& spec,
-                                     const CorpusPlanOptions& options,
-                                     bool use_mmap) {
+                                     const CorpusPlanOptions& options) {
   PGM_ASSIGN_OR_RETURN(InputSpec input, ParseInputSpec(spec));
   if (input.kind != "fasta") {
     // raw:/text:/preset: become a single pseudo-record named by the spec,
@@ -165,8 +164,7 @@ StatusOr<CorpusPlan> LoadCorpusInput(const std::string& spec,
     return CorpusPlan::FromSequence(sequence, spec, options);
   }
   if (input.record_id.empty()) {
-    return CorpusPlan::FromFastaFile(input.value, *input.alphabet, options,
-                                     use_mmap);
+    return CorpusPlan::FromFastaFile(input.value, *input.alphabet, options);
   }
   PGM_ASSIGN_OR_RETURN(FastaRecord record,
                        ReadFastaRecord(input.value, input.record_id));
@@ -196,6 +194,13 @@ MinerConfig SectionSixConfig() {
   config.max_gap = 12;
   config.min_support_ratio = 0.003 / 100.0;
   return config;
+}
+
+/// --algorithm's check, made before any input is loaded.
+Status CheckAlgorithmFlag(const std::string& algorithm) {
+  if (CheckAlgorithm(algorithm).ok()) return Status::OK();
+  return Status::InvalidArgument("unknown --algorithm '" + algorithm +
+                                 "' (" + AlgorithmNames() + ")");
 }
 
 /// Registers the user-facing MinerOptions() rows as flags writing into
@@ -284,7 +289,7 @@ Status RunMine(const std::vector<std::string>& args, std::string* output,
 
   FlagSet flags("pgm mine: find frequent periodic patterns");
   flags.AddString("input", &input, "input spec (see pgm --help)");
-  flags.AddString("algorithm", &algorithm, "mpp | mppm | enum | adaptive");
+  flags.AddString("algorithm", &algorithm, AlgorithmNames());
   AddMinerFlags(flags, &config);
   flags.AddInt64("top", &top, "patterns shown (longest / highest ratio first)");
   flags.AddBool("maximal", &maximal, "condense to maximal patterns");
@@ -295,6 +300,7 @@ Status RunMine(const std::vector<std::string>& args, std::string* output,
   exports.AddFlags(flags, /*with_timings=*/true);
   PGM_RETURN_IF_ERROR(ParseFlags(flags, args));
   if (input.empty()) return MissingFlag("input", flags);
+  PGM_RETURN_IF_ERROR(CheckAlgorithmFlag(algorithm));
 
   PGM_ASSIGN_OR_RETURN(Sequence sequence, LoadInput(input));
   // SIGINT/SIGTERM latch the process-wide token (tools/pgm_main.cc); the
@@ -302,15 +308,8 @@ Status RunMine(const std::vector<std::string>& args, std::string* output,
   config.cancel = &GlobalCancelToken();
   config.observer = exports.Observer();
 
-  StatusOr<MiningResult> mined = [&]() -> StatusOr<MiningResult> {
-    if (algorithm == "mpp") return MineMpp(sequence, config);
-    if (algorithm == "mppm") return MineMppm(sequence, config);
-    if (algorithm == "enum") return MineEnumeration(sequence, config);
-    if (algorithm == "adaptive") return MineAdaptive(sequence, config);
-    return Status::InvalidArgument("unknown --algorithm '" + algorithm + "'");
-  }();
-  PGM_RETURN_IF_ERROR(mined.status());
-  const MiningResult& result = *mined;
+  PGM_ASSIGN_OR_RETURN(const MiningResult result,
+                       Mine(algorithm, sequence, config));
   PGM_ASSIGN_OR_RETURN(GapRequirement gap,
                        GapRequirement::Create(config.min_gap, config.max_gap));
 
@@ -375,7 +374,6 @@ Status RunCorpus(const std::vector<std::string>& args, std::string* output,
   bool keep_tail = false;
   std::int64_t max_fragments = 0;
   std::int64_t top = 25;
-  bool no_mmap = false;
   std::string csv_path;
   Exports exports;
 
@@ -391,7 +389,7 @@ Status RunCorpus(const std::vector<std::string>& args, std::string* output,
       "and the partial result stays sound.");
   flags.AddString("input", &input,
                   "input spec; fasta:<path> mines every record");
-  flags.AddString("algorithm", &algorithm, "mpp | mppm | enum | adaptive");
+  flags.AddString("algorithm", &algorithm, AlgorithmNames());
   AddMinerFlags(flags, &config);
   flags.AddInt64("fragment-length", &fragment_length,
                  "window length each record is cut into (Section 7 uses "
@@ -402,14 +400,12 @@ Status RunCorpus(const std::vector<std::string>& args, std::string* output,
   flags.AddInt64("max-fragments", &max_fragments,
                  "cap on total fragments planned (0 = all)");
   flags.AddInt64("top", &top, "patterns shown (longest / highest ratio first)");
-  flags.AddBool("no-mmap", &no_mmap,
-                "ingest FASTA through the buffered reader instead of the "
-                "memory-mapped scanner (same bytes, same result)");
   flags.AddString("csv", &csv_path,
                   "also write the aggregated patterns as CSV here");
   exports.AddFlags(flags, /*with_timings=*/true);
   PGM_RETURN_IF_ERROR(ParseFlags(flags, args));
   if (input.empty()) return MissingFlag("input", flags);
+  PGM_RETURN_IF_ERROR(CheckAlgorithmFlag(algorithm));
   if (fragment_length <= 0) {
     return Status::InvalidArgument("--fragment-length must be positive");
   }
@@ -422,8 +418,7 @@ Status RunCorpus(const std::vector<std::string>& args, std::string* output,
       static_cast<std::size_t>(fragment_length);
   plan_options.fragment.keep_tail = keep_tail;
   plan_options.max_fragments = static_cast<std::size_t>(max_fragments);
-  PGM_ASSIGN_OR_RETURN(CorpusPlan plan,
-                       LoadCorpusInput(input, plan_options, !no_mmap));
+  PGM_ASSIGN_OR_RETURN(CorpusPlan plan, LoadCorpusInput(input, plan_options));
   if (plan.fragments().empty()) {
     // The loud-diagnostic contract: an input that fragments to nothing is
     // a usage error (exit 2), never a silent zero-pattern success.

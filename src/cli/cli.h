@@ -37,14 +37,13 @@ namespace pgm::cli {
 StatusOr<Sequence> LoadInput(const std::string& spec);
 
 /// Parses an input spec into a corpus plan (every record, fragmented).
-/// `fasta:<path>` expands every record of the file — with use_mmap (the
-/// default) through the streaming MmapFile + FastaScanner path, so a
-/// genome-scale corpus never materializes as one string; a `#<record-id>`
-/// suffix restricts the corpus to that record. Non-FASTA specs (raw:,
-/// text:, preset:) become a single pseudo-record named by the spec itself.
+/// `fasta:<path>` expands every record of the file through the streaming
+/// MmapFile + FastaScanner path, so a genome-scale corpus never
+/// materializes as one string; a `#<record-id>` suffix restricts the
+/// corpus to that record. Non-FASTA specs (raw:, text:, preset:) become a
+/// single pseudo-record named by the spec itself.
 StatusOr<CorpusPlan> LoadCorpusInput(const std::string& spec,
-                                     const CorpusPlanOptions& options,
-                                     bool use_mmap = true);
+                                     const CorpusPlanOptions& options);
 
 /// Maps a failure Status to the tool's process exit code, so scripts can
 /// branch on the failure class: InvalidArgument/usage errors=2, IoError=3,

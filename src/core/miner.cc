@@ -9,6 +9,53 @@
 #include "util/string_util.h"
 
 namespace pgm {
+
+namespace {
+
+struct NamedMiner {
+  std::string_view name;
+  StatusOr<MiningResult> (*mine)(const Sequence&, const MinerConfig&);
+};
+
+constexpr NamedMiner kMiners[] = {
+    {"mpp", &MineMpp},
+    {"mppm", &MineMppm},
+    {"enum", &MineEnumeration},
+    {"adaptive", &MineAdaptive},
+};
+
+const NamedMiner* FindMiner(std::string_view algorithm) {
+  for (const NamedMiner& miner : kMiners) {
+    if (miner.name == algorithm) return &miner;
+  }
+  return nullptr;
+}
+
+}  // namespace
+
+std::string AlgorithmNames() {
+  std::string names;
+  for (const NamedMiner& miner : kMiners) {
+    if (!names.empty()) names += " | ";
+    names += miner.name;
+  }
+  return names;
+}
+
+Status CheckAlgorithm(std::string_view algorithm) {
+  if (FindMiner(algorithm) != nullptr) return Status::OK();
+  return Status::InvalidArgument("unknown algorithm '" +
+                                 std::string(algorithm) + "' (" +
+                                 AlgorithmNames() + ")");
+}
+
+StatusOr<MiningResult> Mine(std::string_view algorithm,
+                            const Sequence& sequence,
+                            const MinerConfig& config) {
+  PGM_RETURN_IF_ERROR(CheckAlgorithm(algorithm));
+  return FindMiner(algorithm)->mine(sequence, config);
+}
+
 namespace internal {
 
 Status ValidateConfig(const Sequence& sequence, const MinerConfig& config) {

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/gap.h"
@@ -66,13 +67,12 @@ struct MinerConfig {
   /// contract holds at every thread count, but the truncation point may
   /// differ.
   std::int64_t threads = 1;
-  /// Join-kernel tier for the level joins (core/kernel.h, DESIGN.md §7e).
-  /// kAuto picks the bitset kernel — AVX2-vectorized when the CPU supports
-  /// it — whenever the window width W = max_gap - min_gap + 1 fits one
-  /// 64-bit mask, and the scalar kernel otherwise. Every tier produces
-  /// byte-identical rows and supports (the scalar kernel is the
-  /// authoritative oracle the others are differentially tested against),
-  /// so this knob only affects speed, never results.
+  /// Join kernel for the level joins (core/kernel.h, DESIGN.md §7e); set
+  /// only through the C++ API. kAuto runs the AVX2 bitset kernel whenever
+  /// the window width W = max_gap - min_gap + 1 fits one 64-bit mask and
+  /// the CPU supports AVX2, and the scalar kernel otherwise; kScalar pins
+  /// the scalar oracle. Both produce byte-identical rows and supports, so
+  /// the choice only affects speed, never results.
   KernelTier kernel_tier = KernelTier::kAuto;
 
   // --- Resource governance ---
@@ -197,6 +197,21 @@ StatusOr<MiningResult> MineEnumeration(const Sequence& sequence,
 StatusOr<MiningResult> MineAdaptive(const Sequence& sequence,
                                     const MinerConfig& config);
 
+/// "mpp | mppm | enum | adaptive": the algorithm names Mine accepts, for
+/// usage text.
+std::string AlgorithmNames();
+
+/// OK when `algorithm` names a miner; InvalidArgument naming it otherwise.
+Status CheckAlgorithm(std::string_view algorithm);
+
+/// Runs the miner `algorithm` names — "mpp" (MineMpp), "mppm" (MineMppm),
+/// "enum" (MineEnumeration) or "adaptive" (MineAdaptive) — or returns
+/// CheckAlgorithm's error. The one dispatcher behind `pgm mine`, the corpus
+/// executor and the serving layer.
+StatusOr<MiningResult> Mine(std::string_view algorithm,
+                            const Sequence& sequence,
+                            const MinerConfig& config);
+
 namespace internal {
 
 // ArenaEntry, BuiltLevel, JoinPlan (core/candidate_index.h) and the
@@ -213,7 +228,7 @@ Status ValidateConfig(const Sequence& sequence, const MinerConfig& config);
 /// guard the returned level is partial and `guard->stopped()` is true.
 /// When `executor` is non-null the level joins run on it; null means
 /// serial. `kernel` selects the join-kernel implementation (core/kernel.h)
-/// — every tier produces byte-identical levels, so the scalar default is a
+/// — both produce byte-identical levels, so the scalar default is a
 /// correctness-neutral convenience for tests and benchmarks.
 BuiltLevel BuildAllPatternsOfLength(
     const Sequence& sequence, const GapRequirement& gap, std::int64_t k,

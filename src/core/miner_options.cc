@@ -37,7 +37,7 @@ Status ParseValue(std::string_view text, bool* value) {
 Status ParseValue(std::string_view text, KernelTier* value) {
   if (KernelTierFromString(std::string(text), value)) return Status::OK();
   return Status::InvalidArgument("unknown kernel '" + std::string(text) +
-                                 "' (auto | scalar | bits | avx2)");
+                                 "' (auto | scalar)");
 }
 
 template <typename Integer>
@@ -95,12 +95,10 @@ constexpr MinerOption kOptions[] = {
     Row<&Config::em_order>("m", "em_order", "MPPm e_m order", kInCacheKey),
     Row<&Config::initial_n>("", "initial_n", "adaptive: first n tried",
                             kInCacheKey),
-    Row<&Config::kernel_tier>(
-        "kernel", "kernel_tier",
-        "join-kernel tier: auto | scalar | bits | avx2 (auto picks the "
-        "bitset/AVX2 kernel when the gap window fits 64 bits; results are "
-        "identical under every tier)",
-        kNotInCacheKey),
+    Row<&Config::kernel_tier>("", "kernel_tier",
+                              "join kernel: auto | scalar (results are "
+                              "identical under both)",
+                              kNotInCacheKey),
     Row<&Config::limits, &Limits::deadline_ms>(
         "deadline-ms", "limits.deadline_ms",
         "wall-clock budget in ms; partial result on expiry (-1 = none)",

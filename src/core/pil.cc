@@ -4,6 +4,13 @@
 
 namespace pgm {
 
+SupportInfo ClampSupport(unsigned __int128 sum, bool saturated) {
+  if (saturated || sum >= static_cast<unsigned __int128>(kSaturatedCount)) {
+    return SupportInfo{kSaturatedCount, true};
+  }
+  return SupportInfo{static_cast<std::uint64_t>(sum), false};
+}
+
 SupportInfo SupportOfRows(const PilEntry* rows, std::size_t len) {
   unsigned __int128 sum = 0;
   bool any_saturated = false;
@@ -11,15 +18,7 @@ SupportInfo SupportOfRows(const PilEntry* rows, std::size_t len) {
     if (IsSaturated(rows[i].count)) any_saturated = true;
     sum += rows[i].count;
   }
-  SupportInfo info;
-  if (any_saturated || sum >= static_cast<unsigned __int128>(kSaturatedCount)) {
-    info.count = kSaturatedCount;
-    info.saturated = true;
-  } else {
-    info.count = static_cast<std::uint64_t>(sum);
-    info.saturated = false;
-  }
-  return info;
+  return ClampSupport(sum, any_saturated);
 }
 
 PartialIndexList PartialIndexList::ForSymbol(const Sequence& sequence,

@@ -41,6 +41,12 @@ struct SupportInfo {
   bool saturated = false;
 };
 
+/// The one support clamp: the exact 128-bit sum of a pattern's row counts
+/// becomes the saturated sentinel when any row count was saturated or the
+/// sum reaches kSaturatedCount. Every join kernel and SupportOfRows finish
+/// through it, so their supports agree by construction.
+SupportInfo ClampSupport(unsigned __int128 sum, bool saturated);
+
 /// sup over a row range: the saturating sum of the entries' counts. The one
 /// support computation both PIL representations (heap-backed
 /// PartialIndexList and arena spans) share, so their results are identical

@@ -121,17 +121,8 @@ void CombinePrefixGroup(const PilEntry* prefix_rows, std::size_t prefix_len,
   }
 
   for (std::size_t j = 0; j < group_size; ++j) {
-    const GroupJoinScratch::State& st = states[j];
-    SupportInfo info;
-    if (st.support_saturated ||
-        st.support_sum >= static_cast<unsigned __int128>(kSaturatedCount)) {
-      info.count = kSaturatedCount;
-      info.saturated = true;
-    } else {
-      info.count = static_cast<std::uint64_t>(st.support_sum);
-      info.saturated = false;
-    }
-    outputs[j].support = info;
+    outputs[j].support =
+        ClampSupport(states[j].support_sum, states[j].support_saturated);
   }
 }
 

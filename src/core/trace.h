@@ -94,13 +94,13 @@ struct TraceEvent {
   /// Algorithm name (kRunStart, kJobStart) or termination reason / status
   /// code name (kGuardTrip, kRunEnd, kJobEnd).
   std::string detail;
-  /// Join-kernel tier (core/kernel.h). kRunStart carries the *configured*
-  /// tier (MinerConfig::kernel_tier — "auto"/"scalar"/"bits"/"avx2");
-  /// kShardTiming carries the *resolved* implementation the level actually
-  /// ran ("scalar"/"bits"/"avx2"). Deterministic given the config — results
-  /// are byte-identical across tiers — so it is NOT volatile-gated; but the
-  /// resolved value can differ across machines (CPUID), which is fine
-  /// because shard_timing events as a whole are volatile.
+  /// Join kernel (core/kernel.h). kRunStart carries the *configured* tier
+  /// (MinerConfig::kernel_tier — "auto"/"scalar"); kShardTiming carries the
+  /// *resolved* implementation the level actually ran ("scalar"/"avx2").
+  /// Deterministic given the config — results are byte-identical under
+  /// both kernels — so it is NOT volatile-gated; but the resolved value can
+  /// differ across machines (CPUID), which is fine because shard_timing
+  /// events as a whole are volatile.
   std::string kernel_tier;
 
   // Serving-layer fields (kJob* events only).

@@ -15,16 +15,6 @@ namespace pgm {
 
 namespace {
 
-StatusOr<MiningResult> MineOne(const std::string& algorithm,
-                               const Sequence& sequence,
-                               const MinerConfig& config) {
-  if (algorithm == "mpp") return MineMpp(sequence, config);
-  if (algorithm == "mppm") return MineMppm(sequence, config);
-  if (algorithm == "enum") return MineEnumeration(sequence, config);
-  if (algorithm == "adaptive") return MineAdaptive(sequence, config);
-  return Status::InvalidArgument("unknown algorithm: " + algorithm);
-}
-
 /// Bytes the executor keeps alive for one fragment between mining and
 /// aggregation: the window's symbols plus the mined result's footprint.
 std::uint64_t WindowBytes(const Sequence& sequence) {
@@ -105,10 +95,7 @@ StatusOr<CorpusResult> MineCorpus(const CorpusPlan& plan,
   if (options.corpus_threads < 0) {
     return Status::InvalidArgument("corpus_threads must be >= 0");
   }
-  if (options.algorithm != "mpp" && options.algorithm != "mppm" &&
-      options.algorithm != "enum" && options.algorithm != "adaptive") {
-    return Status::InvalidArgument("unknown algorithm: " + options.algorithm);
-  }
+  PGM_RETURN_IF_ERROR(CheckAlgorithm(options.algorithm));
 
   const std::vector<CorpusFragment>& fragments = plan.fragments();
   const bool observing =
@@ -187,7 +174,7 @@ StatusOr<CorpusResult> MineCorpus(const CorpusPlan& plan,
       }
 
       StatusOr<MiningResult> mined =
-          MineOne(options.algorithm, window, config);
+          Mine(options.algorithm, window, config);
       slot.out.mined = true;
       if (mined.ok()) {
         slot.out.result = *std::move(mined);

@@ -56,8 +56,7 @@ class CorpusLedger {
 
 /// Configuration for one corpus run.
 struct CorpusOptions {
-  /// Mining algorithm per fragment: "mpp", "mppm", "enum", or "adaptive"
-  /// (the serve-layer names).
+  /// Mining algorithm per fragment: a name Mine accepts (core/miner.h).
   std::string algorithm = "mppm";
   /// The per-fragment mining configuration. `miner.threads` is the
   /// *within-fragment* level parallelism and defaults to serial — the

@@ -68,33 +68,15 @@ StatusOr<CorpusPlan> CorpusPlan::FromRecords(
 
 StatusOr<CorpusPlan> CorpusPlan::FromFastaFile(const std::string& path,
                                                const Alphabet& alphabet,
-                                               const CorpusPlanOptions& options,
-                                               bool use_mmap) {
-  if (!use_mmap) {
-    PGM_ASSIGN_OR_RETURN(
-        std::string contents,
-        ReadFileToStringWithRetry(path, DefaultReadRetryPolicy()));
-    PGM_ASSIGN_OR_RETURN(std::vector<FastaRecord> records,
-                         ParseFasta(contents));
-    return FromRecords(records, alphabet, options);
-  }
+                                               const CorpusPlanOptions& options) {
   // Transient open/read faults retry with the same policy as the string
-  // readers (DefaultReadRetryPolicy), so the two ingestion paths recover
+  // readers (DefaultReadRetryPolicy), so every ingestion path recovers
   // identically; truncated content still parses to loud Corruption below.
-  const RetryPolicy policy = DefaultReadRetryPolicy();
-  const int attempts = policy.max_attempts < 1 ? 1 : policy.max_attempts;
-  StatusOr<MmapFile> file = MmapFile::Open(path);
-  for (int attempt = 1;
-       !file.ok() && file.status().code() == StatusCode::kIoError &&
-       attempt < attempts;
-       ++attempt) {
-    BackoffSleep(BackoffDelayMs(policy, attempt + 1));
-    file = MmapFile::Open(path);
-  }
+  StatusOr<MmapFile> file = RetryTransient(
+      DefaultReadRetryPolicy(), [&] { return MmapFile::Open(path); });
   if (!file.ok()) return file.status();
 
   CorpusPlan plan;
-  plan.used_mmap_ = file->is_mapped();
   FastaScanner scanner(file->view());
   FastaRecord record;
   while (!CapReached(plan, options)) {

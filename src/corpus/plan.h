@@ -71,15 +71,12 @@ class CorpusPlan {
                                           const Alphabet& alphabet,
                                           const CorpusPlanOptions& options);
 
-  /// Plans a multi-record FASTA file. With use_mmap (the default) the file
-  /// is scanned through MmapFile + FastaScanner one record at a time, so a
-  /// genome-scale corpus never materializes as one string; with it off the
-  /// file is read through ReadFileToString (the retrying reader), which
-  /// tests use to diff the two ingestion paths.
+  /// Plans a multi-record FASTA file, scanned through MmapFile +
+  /// FastaScanner one record at a time, so a genome-scale corpus never
+  /// materializes as one string.
   static StatusOr<CorpusPlan> FromFastaFile(const std::string& path,
                                             const Alphabet& alphabet,
-                                            const CorpusPlanOptions& options,
-                                            bool use_mmap = true);
+                                            const CorpusPlanOptions& options);
 
   /// Fragments in merge order (ordinal == index).
   const std::vector<CorpusFragment>& fragments() const { return fragments_; }
@@ -91,9 +88,6 @@ class CorpusPlan {
   std::size_t num_records() const { return num_records_; }
   /// Residue characters dropped during encoding (non-alphabet codes).
   std::size_t num_dropped_residues() const { return num_dropped_residues_; }
-  /// True when the file path ingested through a real memory mapping (false
-  /// for non-file plans and the no-mmap/fallback paths).
-  bool used_mmap() const { return used_mmap_; }
   /// Sum of fragment lengths (symbols actually scheduled for mining).
   std::size_t total_symbols() const { return total_symbols_; }
 
@@ -116,7 +110,6 @@ class CorpusPlan {
   std::size_t num_records_ = 0;
   std::size_t num_dropped_residues_ = 0;
   std::size_t total_symbols_ = 0;
-  bool used_mmap_ = false;
 };
 
 }  // namespace pgm

@@ -17,7 +17,7 @@ struct MiningJob {
   std::int64_t id = 0;
   /// Input spec resolved by the service's loader (e.g. "fasta:genome.fa").
   std::string input;
-  /// Mining algorithm: "mpp", "mppm", "enum", or "adaptive".
+  /// Mining algorithm: a name Mine accepts (core/miner.h).
   std::string algorithm = "mpp";
   /// The client's mining configuration. The service overrides the volatile
   /// plumbing fields: `cancel` is replaced by the service-wide drain token,

@@ -35,40 +35,21 @@ std::uint64_t ClampBudget(std::uint64_t requested, std::uint64_t ceiling) {
   return std::min(requested, ceiling);
 }
 
-StatusOr<MiningResult> RunAlgorithm(const std::string& algorithm,
-                                    const Sequence& sequence,
-                                    const MinerConfig& config) {
-  if (algorithm == "mpp") return MineMpp(sequence, config);
-  if (algorithm == "mppm") return MineMppm(sequence, config);
-  if (algorithm == "enum") return MineEnumeration(sequence, config);
-  if (algorithm == "adaptive") return MineAdaptive(sequence, config);
-  return Status::InvalidArgument("unknown algorithm: " + algorithm);
-}
-
-/// Runs `load` up to policy.max_attempts times, retrying only transient
-/// kIoError failures — Corruption, NotFound, InvalidArgument mean the bytes
-/// (or the request) are wrong and must fail loudly now. Sets *attempts to
-/// the attempts consumed.
+/// RetryTransient (util/backoff.h) that also counts the load's retries:
+/// every attempt after the first was a retry, and a load that then
+/// succeeded recovered.
 template <typename LoadFn>
-auto RetryTransient(const RetryPolicy& policy, MetricsRegistry* metrics,
-                    int* attempts, LoadFn&& load) -> decltype(load()) {
-  const int max_attempts = policy.max_attempts < 1 ? 1 : policy.max_attempts;
-  for (int attempt = 1;; ++attempt) {
-    *attempts = attempt;
-    auto result = load();
-    if (result.ok()) {
-      if (attempt > 1) {
-        metrics->GetCounter("serve.retries.recovered")->Increment();
-      }
-      return result;
+auto RetryCounted(const RetryPolicy& policy, MetricsRegistry* metrics,
+                  int* attempts, LoadFn&& load) -> decltype(load()) {
+  auto loaded = RetryTransient(policy, load, attempts);
+  if (*attempts > 1) {
+    metrics->GetCounter("serve.retries.attempted")
+        ->Add(static_cast<std::uint64_t>(*attempts - 1));
+    if (loaded.ok()) {
+      metrics->GetCounter("serve.retries.recovered")->Increment();
     }
-    if (result.status().code() != StatusCode::kIoError ||
-        attempt >= max_attempts) {
-      return result;
-    }
-    metrics->GetCounter("serve.retries.attempted")->Increment();
-    BackoffSleep(BackoffDelayMs(policy, attempt + 1));
   }
+  return loaded;
 }
 
 }  // namespace
@@ -230,8 +211,8 @@ void MiningService::WorkerDrainLoop() {
 
 StatusOr<Sequence> MiningService::LoadWithRetry(const std::string& input,
                                                 int* attempts) {
-  return RetryTransient(config_.io_retry, metrics_, attempts,
-                        [&] { return config_.loader(input); });
+  return RetryCounted(config_.io_retry, metrics_, attempts,
+                      [&] { return config_.loader(input); });
 }
 
 void MiningService::Process(MiningJob job) {
@@ -307,8 +288,7 @@ void MiningService::ExecuteSingle(const MiningJob& job,
   // Phase 3: clamp budgets and execute under the drain token.
   const MinerConfig run_config = RunConfig(job.config);
 
-  StatusOr<MiningResult> mined =
-      RunAlgorithm(job.algorithm, *sequence, run_config);
+  StatusOr<MiningResult> mined = Mine(job.algorithm, *sequence, run_config);
   if (!mined.ok()) {
     response->status = mined.status();
     return;
@@ -336,7 +316,7 @@ void MiningService::ExecuteCorpus(const MiningJob& job,
   plan_options.fragment.keep_tail = job.corpus_keep_tail;
 
   int attempts = 0;
-  StatusOr<CorpusPlan> plan = RetryTransient(
+  StatusOr<CorpusPlan> plan = RetryCounted(
       config_.io_retry, metrics_, &attempts,
       [&] { return config_.corpus_loader(job.input, plan_options); });
   response->load_attempts = attempts;

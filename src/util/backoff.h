@@ -4,6 +4,8 @@
 #include <cstdint>
 #include <vector>
 
+#include "util/status.h"
+
 namespace pgm {
 
 /// Exponential-backoff retry policy for transient faults (I/O reads, the
@@ -34,6 +36,27 @@ std::int64_t BackoffDelayMs(const RetryPolicy& policy, int attempt);
 /// records the delay instead of sleeping, so retry tests run at full speed
 /// and assert the exact schedule.
 void BackoffSleep(std::int64_t delay_ms);
+
+/// Calls `attempt` (returning a StatusOr) until it succeeds or fails with
+/// anything but kIoError, at most max(1, policy.max_attempts) times,
+/// sleeping BackoffSleep(BackoffDelayMs(policy, k + 1)) after failed
+/// attempt k. Only kIoError is transient: Corruption, NotFound or
+/// InvalidArgument mean the bytes (or the request) are wrong and fail at
+/// once. Stores the number of calls made in *attempts when non-null.
+template <typename Attempt>
+auto RetryTransient(const RetryPolicy& policy, Attempt&& attempt,
+                    int* attempts = nullptr) -> decltype(attempt()) {
+  const int max_attempts = policy.max_attempts < 1 ? 1 : policy.max_attempts;
+  for (int k = 1;; ++k) {
+    auto result = attempt();
+    if (result.ok() || result.status().code() != StatusCode::kIoError ||
+        k >= max_attempts) {
+      if (attempts != nullptr) *attempts = k;
+      return result;
+    }
+    BackoffSleep(BackoffDelayMs(policy, k + 1));
+  }
+}
 
 /// Captures every BackoffSleep delay for the duration of the scope instead
 /// of sleeping (tests only; scopes must not nest). Safe to install before

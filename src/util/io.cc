@@ -131,16 +131,7 @@ StatusOr<std::string> ReadFileToString(const std::string& path) {
 
 StatusOr<std::string> ReadFileToStringWithRetry(const std::string& path,
                                                 const RetryPolicy& policy) {
-  const int attempts = policy.max_attempts < 1 ? 1 : policy.max_attempts;
-  for (int attempt = 1;; ++attempt) {
-    StatusOr<std::string> contents = ReadFileToString(path);
-    if (contents.ok() ||
-        contents.status().code() != StatusCode::kIoError ||
-        attempt >= attempts) {
-      return contents;
-    }
-    BackoffSleep(BackoffDelayMs(policy, attempt + 1));
-  }
+  return RetryTransient(policy, [&] { return ReadFileToString(path); });
 }
 
 RetryPolicy DefaultReadRetryPolicy() {

@@ -77,14 +77,10 @@ TEST(CliInputTest, CorpusInputExpandsEveryRecordOrTheNamedOne) {
                   .ok());
   CorpusPlanOptions options;
   options.fragment.fragment_length = 4;
-  for (const bool use_mmap : {true, false}) {
-    StatusOr<CorpusPlan> all = LoadCorpusInput("fasta:" + path, options,
-                                               use_mmap);
-    ASSERT_TRUE(all.ok()) << all.status();
-    EXPECT_EQ(all->num_records(), 2u);
-    EXPECT_EQ(all->fragments().size(), 5u);
-    EXPECT_EQ(all->used_mmap(), use_mmap);
-  }
+  StatusOr<CorpusPlan> all = LoadCorpusInput("fasta:" + path, options);
+  ASSERT_TRUE(all.ok()) << all.status();
+  EXPECT_EQ(all->num_records(), 2u);
+  EXPECT_EQ(all->fragments().size(), 5u);
   StatusOr<CorpusPlan> two = LoadCorpusInput("fasta:" + path + "#two",
                                              options);
   ASSERT_TRUE(two.ok()) << two.status();
@@ -891,6 +887,53 @@ TEST(CliOptionTableTest, EveryOptionIsAMineAndCorpusFlagAndAJobKey) {
       }
     }
   }
+}
+
+// The code picks the join kernel and the FASTA ingestion route, so neither
+// is a user option: --kernel, --no-mmap and the kernel= job key are unknown.
+TEST(CliOptionTableTest, KernelIsNotAMineFlag) {
+  const CliRun mine = RunCli(
+      "pgm mine --input raw:ACGTACGTACGGTTACACGTACGT --min-gap 1 --max-gap 2 "
+      "--rho-percent 50 --start-length 1 --kernel scalar");
+  EXPECT_USAGE_ERROR(mine);
+  EXPECT_NE(mine.err.find("unknown flag --kernel"), std::string::npos)
+      << mine.err;
+}
+
+TEST(CliOptionTableTest, NoMmapIsNotACorpusFlag) {
+  const std::string path = testing::TempDir() + "/cli_no_mmap.fa";
+  ASSERT_TRUE(WriteFastaFile(path, {{"one", "", "ACGTACGTACGGTTACACGTACGT"}})
+                  .ok());
+  const CliRun corpus = RunCli(
+      "pgm corpus --input fasta:" + path + " --fragment-length 12 "
+      "--min-gap 1 --max-gap 2 --rho-percent 50 --start-length 1 --no-mmap");
+  std::remove(path.c_str());
+  EXPECT_USAGE_ERROR(corpus);
+  EXPECT_NE(corpus.err.find("unknown flag --no-mmap"), std::string::npos)
+      << corpus.err;
+}
+
+TEST(CliOptionTableTest, KernelIsNotAJobKey) {
+  const std::string jobs = WriteJobsFile(
+      "kernel_key.jobs",
+      "raw:ACGTACGTACGGTTACACGTACGT rho-percent=50 kernel=scalar\n");
+  const CliRun serve = RunCli("pgm serve --jobs " + jobs);
+  std::remove(jobs.c_str());
+  EXPECT_USAGE_ERROR(serve);
+  EXPECT_NE(serve.err.find("jobs line 1: unknown key 'kernel'"),
+            std::string::npos)
+      << serve.err;
+}
+
+TEST(CliCorpusTest, RejectsUnknownAlgorithmBeforeLoading) {
+  const CliRun corpus = RunCli(
+      "pgm corpus --input fasta:/nonexistent-dir-xyz/missing.fa "
+      "--fragment-length 12 --algorithm quantum");
+  EXPECT_USAGE_ERROR(corpus);
+  EXPECT_NE(corpus.err.find("unknown --algorithm 'quantum' (mpp | mppm | "
+                            "enum | adaptive)"),
+            std::string::npos)
+      << corpus.err;
 }
 
 TEST(CliOptionTableTest, EmTakesTheGapAndOrderOptions) {

@@ -1,7 +1,7 @@
 // Corpus differential suite: the corpus executor's aggregate must be
 // byte-identical to a serial one-fragment-at-a-time reference loop — same
 // pattern union, same per-fragment counts, same metrics and trace exports —
-// across corpus_threads {1, 2, 8} x join-kernel tiers {scalar, bits}. The
+// across corpus_threads {1, 2, 8} x join-kernel tiers {scalar, auto}. The
 // hand-rolled reference below re-implements the Section 7 aggregation
 // (per-fragment mining, best per-fragment support, ties to the earliest
 // fragment) independently of src/corpus, so an executor bug cannot hide by
@@ -211,11 +211,14 @@ TEST_P(CorpusDifferentialSweep, ByteIdenticalAcrossThreadsAndKernelTiers) {
       << "sweep configuration must cut multiple fragments";
   const MinerConfig base = BaseConfig(param);
 
-  // The bits tier must actually engage (window fits 64 bits) or the tier
-  // axis of this sweep is vacuous.
+  // Auto must actually engage the AVX2 kernel (window fits 64 bits) or the
+  // tier axis of this sweep is vacuous; without AVX2 only scalar runs.
   GapRequirement gap =
       *GapRequirement::Create(base.min_gap, base.max_gap);
-  ASSERT_EQ(ResolveKernel(KernelTier::kBits, gap), KernelImpl::kBits);
+  const bool avx2 = Avx2Available();
+  if (avx2) {
+    ASSERT_EQ(ResolveKernel(KernelTier::kAuto, gap), KernelImpl::kAvx2);
+  }
 
   const ReferenceAggregate reference = SerialReference(plan, base);
   const CorpusRun anchor = RunCorpus(plan, base, KernelTier::kScalar, 1);
@@ -225,7 +228,8 @@ TEST_P(CorpusDifferentialSweep, ByteIdenticalAcrossThreadsAndKernelTiers) {
   EXPECT_EQ(anchor.result.fragments_planned, plan.fragments().size());
   EXPECT_EQ(anchor.result.fragments_completed, plan.fragments().size());
 
-  for (KernelTier tier : {KernelTier::kScalar, KernelTier::kBits}) {
+  for (KernelTier tier : {KernelTier::kScalar, KernelTier::kAuto}) {
+    if (tier == KernelTier::kAuto && !avx2) continue;
     for (std::int64_t threads :
          {std::int64_t{1}, std::int64_t{2}, std::int64_t{8}}) {
       SCOPED_TRACE(std::string(KernelTierToString(tier)) +

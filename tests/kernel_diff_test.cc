@@ -1,11 +1,11 @@
 // Kernel-equivalence differential suite: the full seeded configuration
-// matrix of tests/differential_test.cc, re-run under every join-kernel tier
-// ({scalar, bits, avx2-when-available} x threads {1, 8}), asserting
+// matrix of tests/differential_test.cc, re-run under both join kernels
+// ({scalar, avx2-when-available} x threads {1, 8}), asserting
 // byte-identical pattern sets and observability exports. The scalar kernel
-// is the authoritative oracle (DESIGN.md §7e): the bitset and AVX2 tiers
-// are promises of speed, never of different bytes, and this suite is the
-// gate that keeps that promise honest at the engine level (the per-pair
-// oracle campaign lives in tests/kernel_oracle_test.cc). Runs under both
+// is the authoritative oracle (DESIGN.md §7e): the AVX2 bitset kernel is a
+// promise of speed, never of different bytes, and this suite is the gate
+// that keeps that promise honest at the engine level (the per-pair oracle
+// campaign lives in tests/kernel_oracle_test.cc). Runs under both
 // the ASan ("robustness") and TSan ("concurrency") sanitizer presets.
 
 #include <gtest/gtest.h>
@@ -42,7 +42,7 @@ struct TierRun {
 };
 
 // The configured tier is the one export field that legitimately differs
-// across tiers (run_start records it verbatim); mask its value so every
+// between kernels (run_start records it verbatim); mask its value so every
 // remaining byte can be compared exactly.
 std::string MaskKernelTier(std::string json) {
   const std::string key = "\"kernel_tier\": \"";
@@ -103,21 +103,15 @@ MinerConfig BaseConfig(std::int64_t min_gap, std::int64_t max_gap,
   return base;
 }
 
-TEST_P(KernelDifferentialSweep, BitsTierByteIdenticalToScalar) {
+TEST_P(KernelDifferentialSweep, ScalarByteIdenticalAcrossThreads) {
   const auto [symbols, length, min_gap, max_gap, rho, seed] = GetParam();
   Alphabet alphabet = *Alphabet::Create(symbols);
   Rng rng(seed);
   Sequence s = *UniformRandomSequence(length, alphabet, rng);
   const MinerConfig base = BaseConfig(min_gap, max_gap, rho);
 
-  // Every matrix window fits 64 bits, so the bits tier must actually engage
-  // — a silent scalar fallback would make this sweep vacuous.
-  GapRequirement gap = *GapRequirement::Create(min_gap, max_gap);
-  ASSERT_EQ(ResolveKernel(KernelTier::kBits, gap), KernelImpl::kBits);
-
   const TierRun reference = RunTier(s, base, KernelTier::kScalar, 1);
   ExpectTierMatchesScalar(s, base, reference, KernelTier::kScalar);
-  ExpectTierMatchesScalar(s, base, reference, KernelTier::kBits);
 }
 
 TEST_P(KernelDifferentialSweep, Avx2TierByteIdenticalToScalar) {
@@ -130,11 +124,13 @@ TEST_P(KernelDifferentialSweep, Avx2TierByteIdenticalToScalar) {
   Sequence s = *UniformRandomSequence(length, alphabet, rng);
   const MinerConfig base = BaseConfig(min_gap, max_gap, rho);
 
+  // Every matrix window fits 64 bits, so auto must actually engage the
+  // AVX2 kernel — a silent scalar fallback would make this sweep vacuous.
   GapRequirement gap = *GapRequirement::Create(min_gap, max_gap);
-  ASSERT_EQ(ResolveKernel(KernelTier::kAvx2, gap), KernelImpl::kAvx2);
+  ASSERT_EQ(ResolveKernel(KernelTier::kAuto, gap), KernelImpl::kAvx2);
 
   const TierRun reference = RunTier(s, base, KernelTier::kScalar, 1);
-  ExpectTierMatchesScalar(s, base, reference, KernelTier::kAvx2);
+  ExpectTierMatchesScalar(s, base, reference, KernelTier::kAuto);
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -1,12 +1,12 @@
 // Randomized kernel-oracle campaign: 200 seeded (gap, prefix PIL, suffix
-// group) configurations run through CombinePrefixGroupKernel under every
-// tier and cross-checked row-for-row against PartialIndexList::Combine +
-// TotalSupport — the heap-backed reference the whole PIL layer is defined
-// by. The window-width schedule pins the bitset kernel's boundary cases
-// (W = 1, 63, 64, and a 65 that must fall back to scalar) and the PIL
-// shapes force every internal path: dense spans (bitmap fast path), sparse
-// spans (density-guard fallback), saturated and near-clamp counts
-// (exactness-guard fallback), and empty lists. An exhaustive small-case
+// group) configurations run through CombinePrefixGroupKernel under both
+// implementations and cross-checked row-for-row against
+// PartialIndexList::Combine + TotalSupport — the heap-backed reference the
+// whole PIL layer is defined by. The window-width schedule pins the bitset
+// kernel's boundary cases (W = 1, 63, 64, and a 65 that must fall back to
+// scalar) and the PIL shapes force every internal path: dense spans (bitmap
+// fast path), sparse spans (density-guard fallback), saturated and
+// near-clamp counts (exactness-guard fallback), and empty lists. An exhaustive small-case
 // sweep and the ResolveKernel dispatch rules round out the suite. Runs
 // under both sanitizer presets via the robustness/concurrency labels.
 
@@ -28,9 +28,9 @@ namespace pgm {
 namespace {
 
 // Every implementation the host can run: scalar always (the dispatch path
-// to the oracle itself), bits always, avx2 when compiled in and supported.
+// to the oracle itself), avx2 when compiled in and supported.
 std::vector<KernelImpl> TiersUnderTest() {
-  std::vector<KernelImpl> tiers = {KernelImpl::kScalar, KernelImpl::kBits};
+  std::vector<KernelImpl> tiers = {KernelImpl::kScalar};
   if (Avx2Available()) tiers.push_back(KernelImpl::kAvx2);
   return tiers;
 }
@@ -57,8 +57,8 @@ std::vector<PilEntry> RandomPil(Rng& rng, PilShape shape) {
         break;
       case PilShape::kSparse:
         // Spans of ~millions of positions over ~100 rows overflow the
-        // density guard (words > 4 * (|prefix| + |suffix|) + 64), forcing
-        // the per-pair scalar fallback.
+        // density guard (words > 4 * (|prefix| + |suffix|) + 64), sending
+        // the pair to the scalar kernel.
         step = static_cast<std::uint32_t>(rng.UniformRange(1, 60000));
         break;
       case PilShape::kHugeCounts:
@@ -142,8 +142,9 @@ TEST(KernelOracleSweep, RandomizedConfigsMatchOracleAcrossTiers) {
   KernelScratch scratch;
   for (std::size_t c = 0; c < kNumConfigs; ++c) {
     // Boundary schedule first — W = 64 is the widest mask a word holds,
-    // W = 65 the narrowest window every tier must refuse (and fall back to
-    // scalar on) — then uniform over the bitset kernel's whole domain.
+    // W = 65 the narrowest window the bitset kernel must refuse (and fall
+    // back to scalar on) — then uniform over the bitset kernel's whole
+    // domain.
     std::int64_t width = 0;
     switch (c) {
       case 0: width = 1; break;
@@ -224,26 +225,18 @@ TEST(KernelDispatch, ResolveKernelFollowsTierAndWindowRules) {
   for (const GapRequirement* gap : {&narrow, &w64, &w65}) {
     EXPECT_EQ(ResolveKernel(KernelTier::kScalar, *gap), KernelImpl::kScalar);
   }
-  // W > 64 has no bit-parallel representation: every tier degrades to
-  // scalar rather than failing.
-  for (KernelTier tier : {KernelTier::kAuto, KernelTier::kBits,
-                          KernelTier::kAvx2}) {
-    EXPECT_EQ(ResolveKernel(tier, w65), KernelImpl::kScalar);
-  }
-  // Within the 64-bit window, bits means bits and auto/avx2 take the
-  // fastest tier the CPU offers.
-  const KernelImpl best =
-      Avx2Available() ? KernelImpl::kAvx2 : KernelImpl::kBits;
-  for (const GapRequirement* gap : {&narrow, &w64}) {
-    EXPECT_EQ(ResolveKernel(KernelTier::kBits, *gap), KernelImpl::kBits);
-    EXPECT_EQ(ResolveKernel(KernelTier::kAuto, *gap), best);
-    EXPECT_EQ(ResolveKernel(KernelTier::kAvx2, *gap), best);
-  }
+  // Auto takes the AVX2 bitset kernel exactly when the window fits one
+  // 64-bit mask and the CPU has AVX2; W > 64 has no bit-parallel
+  // representation and runs scalar rather than failing.
+  const KernelImpl fits =
+      Avx2Available() ? KernelImpl::kAvx2 : KernelImpl::kScalar;
+  EXPECT_EQ(ResolveKernel(KernelTier::kAuto, narrow), fits);
+  EXPECT_EQ(ResolveKernel(KernelTier::kAuto, w64), fits);
+  EXPECT_EQ(ResolveKernel(KernelTier::kAuto, w65), KernelImpl::kScalar);
 }
 
 TEST(KernelDispatch, TierStringsRoundTrip) {
-  for (KernelTier tier : {KernelTier::kAuto, KernelTier::kScalar,
-                          KernelTier::kBits, KernelTier::kAvx2}) {
+  for (KernelTier tier : {KernelTier::kAuto, KernelTier::kScalar}) {
     KernelTier parsed = KernelTier::kAuto;
     ASSERT_TRUE(KernelTierFromString(KernelTierToString(tier), &parsed));
     EXPECT_EQ(parsed, tier);
@@ -251,8 +244,8 @@ TEST(KernelDispatch, TierStringsRoundTrip) {
   KernelTier parsed = KernelTier::kAuto;
   EXPECT_FALSE(KernelTierFromString("sse9", &parsed));
   EXPECT_FALSE(KernelTierFromString("", &parsed));
+  EXPECT_FALSE(KernelTierFromString("bits", &parsed));
   EXPECT_STREQ(KernelImplToString(KernelImpl::kScalar), "scalar");
-  EXPECT_STREQ(KernelImplToString(KernelImpl::kBits), "bits");
   EXPECT_STREQ(KernelImplToString(KernelImpl::kAvx2), "avx2");
 }
 

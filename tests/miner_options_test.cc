@@ -65,7 +65,7 @@ void Perturb(std::uint64_t& value) { value += 7; }
 void Perturb(double& value) { value += 0.125; }
 void Perturb(bool& value) { value = !value; }
 void Perturb(KernelTier& value) {
-  value = value == KernelTier::kScalar ? KernelTier::kBits
+  value = value == KernelTier::kScalar ? KernelTier::kAuto
                                        : KernelTier::kScalar;
 }
 void Perturb(const CancelToken*& value) {

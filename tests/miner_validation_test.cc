@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+
 #include "core/miner.h"
 
 namespace pgm {
@@ -101,6 +104,39 @@ TEST(MinerValidationTest, StartLengthBeyondL2YieldsEmptyResult) {
   ASSERT_TRUE(result.ok());
   EXPECT_TRUE(result->patterns.empty());
   EXPECT_TRUE(result->level_stats.empty());
+}
+
+// Mine is the one name-to-miner dispatcher behind `pgm mine`, the corpus
+// executor and the serving layer.
+TEST(MinerDispatchTest, MineRunsTheNamedMiner) {
+  EXPECT_EQ(AlgorithmNames(), "mpp | mppm | enum | adaptive");
+  const std::pair<const char*, MinerFn> miners[] = {
+      {"mpp", &MineMpp},
+      {"mppm", &MineMppm},
+      {"enum", &MineEnumeration},
+      {"adaptive", &MineAdaptive}};
+  for (const auto& [name, miner] : miners) {
+    SCOPED_TRACE(name);
+    EXPECT_TRUE(CheckAlgorithm(name).ok());
+    StatusOr<MiningResult> named = Mine(name, SmallSeq(), ValidConfig());
+    StatusOr<MiningResult> direct = miner(SmallSeq(), ValidConfig());
+    ASSERT_TRUE(named.ok()) << named.status();
+    ASSERT_TRUE(direct.ok()) << direct.status();
+    EXPECT_EQ(named->patterns.size(), direct->patterns.size());
+    EXPECT_EQ(named->total_candidates, direct->total_candidates);
+    EXPECT_EQ(named->n_used, direct->n_used);
+  }
+}
+
+TEST(MinerDispatchTest, UnknownAlgorithmIsInvalidArgumentListingTheNames) {
+  for (const char* name : {"bogus", "", "MPP"}) {
+    const Status status = Mine(name, SmallSeq(), ValidConfig()).status();
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << name;
+    EXPECT_NE(status.message().find("(mpp | mppm | enum | adaptive)"),
+              std::string::npos)
+        << status.message();
+    EXPECT_EQ(CheckAlgorithm(name).code(), StatusCode::kInvalidArgument);
+  }
 }
 
 }  // namespace

@@ -253,7 +253,8 @@ TEST(ReaderFuzzTest, FaultedFileReadsFailLoudly) {
 // The streaming scanner (the corpus executor's mmap ingestion path) must
 // agree with ParseFasta on every document, malformed or not: same
 // ok-or-loud outcome, and identical records on success. A divergence here
-// would mean `pgm corpus` mines different data depending on --no-mmap.
+// would mean `pgm corpus` (mmap) and `pgm mine --input fasta:` (buffered
+// reader) mine different data from the same file.
 TEST(ReaderFuzzTest, MutatedCorpusFastaScannerAgreesWithParseFasta) {
   for (int i = 0; i < kCorpusSize / 2; ++i) {
     Rng rng(kCorpusSeed ^ (0x2000000 + static_cast<std::uint64_t>(i)));
@@ -318,6 +319,16 @@ void ExpectPlansEqual(const CorpusPlan& a, const CorpusPlan& b,
   }
 }
 
+// The string ingestion route: the whole file read into memory, parsed,
+// then planned record by record.
+StatusOr<CorpusPlan> PlanFromString(const std::string& path,
+                                    const CorpusPlanOptions& options) {
+  PGM_ASSIGN_OR_RETURN(std::string contents, ReadFileToString(path));
+  PGM_ASSIGN_OR_RETURN(std::vector<FastaRecord> records,
+                       ParseFasta(contents));
+  return CorpusPlan::FromRecords(records, Alphabet::Dna(), options);
+}
+
 // The two corpus ingestion routes — MmapFile + FastaScanner vs
 // ReadFileToString + ParseFasta — must plan identical fragment lists from
 // the same file, or fail identically loudly.
@@ -333,11 +344,8 @@ TEST(ReaderFuzzTest, CorpusPlanMmapAndStringIngestionAgree) {
     options.fragment.fragment_length = 32;
     options.fragment.keep_tail = (i % 4) < 2;
     StatusOr<CorpusPlan> mmap_plan =
-        CorpusPlan::FromFastaFile(path, Alphabet::Dna(), options,
-                                  /*use_mmap=*/true);
-    StatusOr<CorpusPlan> string_plan =
-        CorpusPlan::FromFastaFile(path, Alphabet::Dna(), options,
-                                  /*use_mmap=*/false);
+        CorpusPlan::FromFastaFile(path, Alphabet::Dna(), options);
+    StatusOr<CorpusPlan> string_plan = PlanFromString(path, options);
     ASSERT_EQ(mmap_plan.ok(), string_plan.ok())
         << "case " << i << ": mmap "
         << (mmap_plan.ok() ? "OK" : mmap_plan.status().ToString())

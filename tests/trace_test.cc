@@ -101,7 +101,7 @@ TEST(TraceTest, VolatileEventsGatedByOption) {
   timing.level = 5;
   timing.candidates = 100;
   timing.workers = 4;
-  timing.kernel_tier = "bits";
+  timing.kernel_tier = "scalar";
   timing.seconds = 0.25;
   timing.fill_seconds = 0.125;
   timing.merge_seconds = 0.0625;
@@ -129,7 +129,7 @@ TEST(TraceTest, VolatileEventsGatedByOption) {
   const std::string full = trace.ToJson(options);
   EXPECT_NE(full.find("{\"kind\": \"shard_timing\", \"level\": 5, "
                       "\"candidates\": 100, \"workers\": 4, "
-                      "\"kernel_tier\": \"bits\", "
+                      "\"kernel_tier\": \"scalar\", "
                       "\"seconds\": 0.25, \"fill_seconds\": 0.125, "
                       "\"merge_seconds\": 0.0625, "
                       "\"stall_seconds\": 0.03125}"),
@@ -147,7 +147,7 @@ TEST(TraceTest, KernelTierIsNotVolatileGated) {
   TraceEvent start;
   start.kind = TraceEventKind::kRunStart;
   start.detail = "mpp";
-  start.kernel_tier = "bits";
+  start.kernel_tier = "scalar";
   trace.Append(start);
   TraceEvent timing;
   timing.kind = TraceEventKind::kShardTiming;
@@ -158,7 +158,7 @@ TEST(TraceTest, KernelTierIsNotVolatileGated) {
   trace.Append(timing);
 
   const std::string stable = trace.ToJson();
-  EXPECT_NE(stable.find("\"kernel_tier\": \"bits\""), std::string::npos)
+  EXPECT_NE(stable.find("\"kernel_tier\": \"scalar\""), std::string::npos)
       << "run_start's kernel_tier must survive the byte-stable export";
   EXPECT_EQ(stable.find("shard_timing"), std::string::npos);
 
