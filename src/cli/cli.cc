@@ -30,6 +30,7 @@
 #include "util/random.h"
 #include "util/string_util.h"
 #include "util/table_printer.h"
+#include "util/thread_pool.h"
 
 namespace pgm::cli {
 
@@ -44,6 +45,16 @@ StatusOr<Sequence> LoadPreset(const std::string& body) {
   // body = <name>[:<length>[:<seed>]]
   std::vector<std::string> parts = Split(body, ':');
   const std::string& name = parts[0];
+  if (name == "ax829174") {
+    // The surrogate is one fixed sequence; a length or seed would be
+    // silently ignored, so it is refused instead.
+    if (parts.size() > 1) {
+      return Status::InvalidArgument(
+          "preset ax829174 is the fixed 10,011-bp surrogate and takes no "
+          "length or seed; use 'preset:ax829174'");
+    }
+    return MakeAx829174Surrogate();
+  }
   std::size_t length = 100'000;
   std::uint64_t seed = 1;
   if (parts.size() >= 2) {
@@ -58,7 +69,6 @@ StatusOr<Sequence> LoadPreset(const std::string& body) {
   if (parts.size() > 3) {
     return Status::InvalidArgument("preset spec has too many ':' fields");
   }
-  if (name == "ax829174") return MakeAx829174Surrogate();
   if (name == "bacteria") return MakeBacteriaLikeGenome(length, seed);
   if (name == "eukaryote") return MakeEukaryoteLikeGenome(length, seed);
   if (name == "worm") return MakeWormLikeGenome(length, seed);
@@ -728,11 +738,15 @@ Status RunGenerate(const std::vector<std::string>& args, std::string* output) {
   flags.AddString("output", &out_path, "output FASTA path (required)");
   PGM_RETURN_IF_ERROR(ParseFlags(flags, args));
   if (out_path.empty()) return MissingFlag("output", flags);
-  PGM_ASSIGN_OR_RETURN(
-      Sequence sequence,
-      LoadInput(StrFormat("preset:%s:%lld:%lld", preset.c_str(),
-                          static_cast<long long>(length),
-                          static_cast<long long>(seed))));
+  // The ax829174 surrogate is one fixed sequence; its spec takes no length
+  // or seed.
+  const std::string spec =
+      preset == "ax829174"
+          ? "preset:ax829174"
+          : StrFormat("preset:%s:%lld:%lld", preset.c_str(),
+                      static_cast<long long>(length),
+                      static_cast<long long>(seed));
+  PGM_ASSIGN_OR_RETURN(Sequence sequence, LoadInput(spec));
   FastaRecord record;
   record.id = preset;
   record.description = StrFormat("synthetic %s genome, L=%zu, seed=%lld",
@@ -890,6 +904,12 @@ Status RunServe(const std::vector<std::string>& args, std::string* output,
         "serve knobs must be positive (queue-capacity, retry-attempts) or "
         "non-negative (workers, cache-bytes, retry-base-ms, retry-after-ms)");
   }
+  if (workers > ThreadPool::kMaxThreads) {
+    return Status::InvalidArgument(
+        StrFormat("--workers must be at most %lld, got %lld",
+                  static_cast<long long>(ThreadPool::kMaxThreads),
+                  static_cast<long long>(workers)));
+  }
 
   PGM_ASSIGN_OR_RETURN(std::string jobs_text, ReadFileToString(jobs_path));
   std::vector<MiningJob> jobs;
@@ -1003,8 +1023,9 @@ std::string RootUsage() {
       "  fasta:<path>[#<record-id>]     FASTA file\n"
       "  text:<path>                    raw characters from a file\n"
       "  raw:<characters>               characters inline\n"
-      "  preset:<name>[:<len>[:<seed>]] synthetic genome (ax829174,\n"
-      "                                 bacteria, eukaryote, worm)\n"
+      "  preset:<name>[:<len>[:<seed>]] synthetic genome (bacteria,\n"
+      "                                 eukaryote, worm)\n"
+      "  preset:ax829174                fixed 10,011-bp Section 6 surrogate\n"
       "  append @protein for the amino-acid alphabet\n";
 }
 

@@ -28,8 +28,10 @@ namespace pgm::cli {
 ///   fasta:<path>[#<record-id>]   a FASTA file (first record by default)
 ///   text:<path>                  raw characters from a file
 ///   raw:<characters>             characters given inline
-///   preset:<name>[:<len>[:<seed>]]  a synthetic genome; names: ax829174,
-///                                bacteria, eukaryote, worm
+///   preset:<name>[:<len>[:<seed>]]  a synthetic genome; names: bacteria,
+///                                eukaryote, worm
+///   preset:ax829174              the fixed 10,011-bp Section 6 surrogate
+///                                (no length or seed)
 /// An optional `@protein` suffix switches the alphabet from DNA to the 20
 /// amino acids (e.g. "raw:LWLWLW@protein").
 

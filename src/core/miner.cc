@@ -7,6 +7,7 @@
 
 #include "util/saturating.h"
 #include "util/string_util.h"
+#include "util/thread_pool.h"
 
 namespace pgm {
 
@@ -78,9 +79,11 @@ Status ValidateConfig(const Sequence& sequence, const MinerConfig& config) {
     return Status::InvalidArgument(
         "max_length must be >= start_length (or -1 for unbounded)");
   }
-  if (config.threads < 0) {
-    return Status::InvalidArgument(
-        "threads must be >= 0 (0 = one per hardware thread)");
+  if (config.threads < 0 || config.threads > ThreadPool::kMaxThreads) {
+    return Status::InvalidArgument(StrFormat(
+        "threads must lie in [0, %lld] (0 = one per hardware thread), got %lld",
+        static_cast<long long>(ThreadPool::kMaxThreads),
+        static_cast<long long>(config.threads)));
   }
   return Status::OK();
 }

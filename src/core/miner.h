@@ -60,12 +60,13 @@ struct MinerConfig {
 
   // --- Parallel execution ---
   /// Worker threads for level evaluation: 1 = serial (the default), 0 = one
-  /// per hardware thread, T > 1 = exactly T workers. Candidates within a
-  /// level are evaluated in parallel and merged in candidate order, so runs
-  /// that no resource limit interrupts produce byte-identical results at
-  /// every thread count; under an interrupting limit the partial-but-sound
-  /// contract holds at every thread count, but the truncation point may
-  /// differ.
+  /// per hardware thread, T > 1 = exactly T workers, up to
+  /// ThreadPool::kMaxThreads (larger values are rejected). Candidates within
+  /// a level are evaluated in parallel and merged in candidate order, so
+  /// runs that no resource limit interrupts produce byte-identical results
+  /// at every thread count; under an interrupting limit the
+  /// partial-but-sound contract holds at every thread count, but the
+  /// truncation point may differ.
   std::int64_t threads = 1;
   /// Join kernel for the level joins (core/kernel.h, DESIGN.md §7e); set
   /// only through the C++ API. kAuto runs the AVX2 bitset kernel whenever

@@ -9,7 +9,6 @@
 #include <cassert>
 
 #include "core/trace.h"
-#include "util/mutex.h"
 #include "util/stopwatch.h"
 
 namespace pgm {
@@ -22,8 +21,9 @@ namespace {
 /// Runs on the caller thread, after the pool has quiesced. `candidates`
 /// counts deliveries to the sink (not the plan's size), accumulated by the
 /// merge as it goes, so tripped levels report the work that happened; the
-/// phase fields split the driver's wall-clock into kernel fills it ran
-/// itself, sink merging, and waiting on in-flight pieces.
+/// phase fields split the caller's wall-clock into the kernel fills it ran
+/// itself, its wait for the other workers at the end of each window's
+/// fill, and sink merging.
 struct ShardTimingScope {
   ObserverContext* ctx = nullptr;
   std::uint64_t candidates = 0;
@@ -50,18 +50,16 @@ constexpr std::uint64_t kPieceRowsTarget = 2048;
 /// Cap on candidates per piece, so short-PIL groups still amortize one
 /// streaming pass over the left rows without unbounded kernel state.
 constexpr std::uint64_t kMaxPieceCands = 64;
-/// Rows per published block — the granule the driver hands the workers.
+/// Rows per block: windows end only on block boundaries.
 constexpr std::uint64_t kBlockRowsTarget = 16384;
-/// The scratch window (block ring bound): the driver keeps at most this
-/// many rows reserved ahead of the watermark (more when a single block is
-/// bigger). Bounds speculative memory independently of the thread count,
-/// which also makes memory-budget trip points deterministic.
+/// The scratch window: at least this many rows (whole blocks), reserved in
+/// one Reserve call and merged before the next. Bounds speculative memory
+/// independently of the thread count, which also makes memory-budget trip
+/// points deterministic.
 constexpr std::uint64_t kWindowRowsTarget = 4 * kBlockRowsTarget;
 
 /// One kernel call's worth of candidates: a slice [begin, end) of one
-/// task's rights range. Immutable after the prepass except for the two
-/// publication fields, which the driver assigns before the release-store
-/// of the piece limit (the claiming worker's acquire orders the read).
+/// task's rights range.
 struct Piece {
   std::uint32_t task = 0;
   std::uint32_t begin = 0;
@@ -69,58 +67,47 @@ struct Piece {
   std::uint64_t left_len = 0;
   /// left_len * (end - begin): the piece's scratch slice size.
   std::uint64_t rows = 0;
-  /// Arena offset of the first candidate's output slice; candidate k's
-  /// slice starts at out_offset + k * left_len.
+  /// Assigned serially once the piece's window is reserved: the arena
+  /// offset of the first candidate's output slice (candidate k's slice
+  /// starts at out_offset + k * left_len) and the index of its first
+  /// candidate in the window's kernel outputs.
   std::uint64_t out_offset = 0;
-  /// Index of the piece's first candidate in the window metadata arrays.
-  std::uint64_t meta_base = 0;
+  std::uint64_t out_index = 0;
+  /// Set by the filling worker; stays false when the guard refused the
+  /// piece's ticks.
+  bool filled = false;
 };
 
-/// Piece fill states (per-piece atomic, release by the filling worker,
-/// acquire by the merging driver).
-constexpr std::uint8_t kPending = 0;
-constexpr std::uint8_t kFilled = 1;
-constexpr std::uint8_t kAbandoned = 2;
-
-/// A publication granule: consecutive pieces totalling ~kBlockRowsTarget
-/// output rows.
-struct Block {
-  std::uint64_t piece_begin = 0;
-  std::uint64_t piece_end = 0;
+/// Pieces [piece_begin, piece_end): whole blocks totalling `rows` output
+/// rows (at least kWindowRowsTarget, except for the level's last window)
+/// and `cands` candidates.
+struct Window {
+  std::size_t piece_begin = 0;
+  std::size_t piece_end = 0;
   std::uint64_t rows = 0;
   std::uint64_t cands = 0;
 };
 
 /// Per-worker reusable buffers: once warmed up to the largest piece, the
-/// fill phase performs no allocation.
+/// fill performs no allocation.
 struct WorkerScratch {
   std::vector<GroupSuffix> suffixes;
-  std::vector<GroupOutput> outputs;
   KernelScratch kernel;
 };
 
 }  // namespace
 
-ParallelLevelExecutor::ParallelLevelExecutor(std::int64_t threads) {
-  const std::size_t resolved = ThreadPool::ResolveThreadCount(threads);
-  if (resolved > 1) pool_ = std::make_unique<ThreadPool>(resolved);
-}
-
-ParallelLevelExecutor::~ParallelLevelExecutor() = default;
+ParallelLevelExecutor::ParallelLevelExecutor(std::int64_t threads)
+    : pool_(ThreadPool::ResolveThreadCount(threads)) {}
 
 std::size_t ParallelLevelExecutor::num_threads() const {
-  return pool_ == nullptr ? 1 : pool_->num_threads();
+  return pool_.num_threads();
 }
 
 void ParallelLevelExecutor::ParallelFor(
     std::size_t n, std::size_t grain,
     const std::function<void(std::size_t, std::size_t)>& fn) {
-  if (n == 0) return;
-  if (pool_ == nullptr) {
-    fn(0, n);
-    return;
-  }
-  pool_->ParallelFor(n, grain, fn);
+  pool_.ParallelFor(n, grain, fn);
 }
 
 Status ParallelLevelExecutor::ExecuteJoin(
@@ -140,16 +127,16 @@ Status ParallelLevelExecutor::ExecuteJoin(
 
   const std::vector<JoinTask>& tasks = plan.tasks();
   const std::vector<std::uint32_t>& pool = plan.rights_pool();
-  const std::size_t workers = num_threads();
 
-  // --- Prepass (serial): slice the plan into row-sized pieces and group
-  // them into row-sized blocks. Depends only on the plan, never on the
-  // schedule or the thread count — the pieces' flat order IS the candidate
-  // order the sink must observe.
+  // --- Prepass (serial): slice the plan into row-sized pieces and cut them
+  // into windows of whole row-sized blocks. Depends only on the plan, never
+  // on the schedule or the thread count — the pieces' flat order IS the
+  // candidate order the sink must observe.
   std::vector<Piece> pieces;
-  std::vector<Block> blocks;
+  std::vector<Window> windows;
   {
-    Block block;
+    Window window;
+    std::uint64_t block_rows = 0;
     for (std::size_t t = 0; t < tasks.size(); ++t) {
       const JoinTask& task = tasks[t];
       const std::uint64_t left_len = left_entries[task.left].span.len;
@@ -166,281 +153,136 @@ Status ParallelLevelExecutor::ExecuteJoin(
         piece.end = std::min(off + per_piece, group);
         piece.left_len = left_len;
         piece.rows = left_len * (piece.end - piece.begin);
-        block.rows += piece.rows;
-        block.cands += piece.end - piece.begin;
+        block_rows += piece.rows;
+        window.cands += piece.end - piece.begin;
         pieces.push_back(piece);
-        if (block.rows >= kBlockRowsTarget) {
-          block.piece_end = pieces.size();
-          blocks.push_back(block);
-          block = Block{};
-          block.piece_begin = pieces.size();
-        }
+        if (block_rows < kBlockRowsTarget) continue;
+        window.rows += block_rows;
+        block_rows = 0;
+        if (window.rows < kWindowRowsTarget) continue;
+        window.piece_end = pieces.size();
+        windows.push_back(window);
+        window = Window{pieces.size(), pieces.size(), 0, 0};
       }
     }
-    if (block.piece_begin < pieces.size()) {
-      block.piece_end = pieces.size();
-      blocks.push_back(block);
+    if (window.piece_begin < pieces.size()) {
+      window.rows += block_rows;
+      window.piece_end = pieces.size();
+      windows.push_back(window);
     }
   }
-  const std::uint64_t total_pieces = pieces.size();
-  if (total_pieces == 0) return Status::OK();
 
-  std::vector<WorkerScratch> scratch(workers);
-  // Per-candidate outputs of the current window, indexed by Piece::meta_base
-  // (+ the candidate's position in its piece). Sized at window recycle,
-  // when no piece is in flight.
-  std::vector<std::uint32_t> meta_lens;
-  std::vector<SupportInfo> meta_supports;
-
-  // Lock-free handoff state. piece_limit's release-store publishes the
-  // pieces' out_offset/meta_base assignments and out_base; a claim's
-  // acquire-load pairs with it. piece_state's release/acquire publishes the
-  // filled rows and metadata to the merging driver.
-  std::atomic<std::uint64_t> next_piece{0};
-  std::atomic<std::uint64_t> piece_limit{0};
-  std::atomic<PilEntry*> out_base{nullptr};
-  std::atomic<bool> stop{false};        // sink failed: fills are pointless
-  std::atomic<bool> level_done{false};  // drained: workers may exit
-  std::vector<std::atomic<std::uint8_t>> piece_state(
-      static_cast<std::size_t>(total_pieces));
-  for (auto& state : piece_state) {
-    state.store(kPending, std::memory_order_relaxed);
-  }
-
-  // The mutex/condvars only park idle threads; every data handoff above is
-  // lock-free (see the class comment in parallel.h).
-  Mutex mu{kLockRankRing};
-  CondVar work_cv;   // workers: publication advanced / level done
-  CondVar merge_cv;  // driver: a piece completed
-
-  constexpr std::uint64_t kNone = ~std::uint64_t{0};
-  auto try_claim = [&]() -> std::uint64_t {
-    std::uint64_t cur = next_piece.load(std::memory_order_relaxed);
-    while (cur < piece_limit.load(std::memory_order_acquire)) {
-      if (next_piece.compare_exchange_weak(cur, cur + 1,
-                                           std::memory_order_relaxed)) {
-        return cur;
-      }
-    }
-    return kNone;
-  };
-
-  // Fills one claimed piece. Charges the piece's candidates with one
-  // batched TickN first: a refused batch (guard trip) abandons the piece
-  // and refunds the ticks, so the guard's tick total stays equal to the
-  // candidates the sink will receive. Every terminal state (filled or
-  // abandoned) is published so the merge head never waits forever.
-  auto run_piece = [&](std::uint64_t index, WorkerScratch& ws) {
-    const Piece& piece = pieces[static_cast<std::size_t>(index)];
-    const std::uint32_t count = piece.end - piece.begin;
-    bool filled = false;
-    if (!stop.load(std::memory_order_relaxed) &&
-        (guard == nullptr || guard->TickN(count))) {
-      const JoinTask& task = tasks[piece.task];
-      if (ws.suffixes.size() < count) {
-        ws.suffixes.resize(count);
-        ws.outputs.resize(count);
-      }
-      PilEntry* base = out_base.load(std::memory_order_relaxed);
-      for (std::uint32_t k = 0; k < count; ++k) {
-        const ArenaEntry& right =
-            right_entries[pool[task.rights_begin + piece.begin + k]];
-        ws.suffixes[k] =
-            GroupSuffix{right_arena.Rows(right.span), right.span.len};
-        ws.outputs[k] = GroupOutput{
-            base + piece.out_offset + k * piece.left_len, 0, {}};
-      }
-      CombinePrefixGroupKernel(kernel,
-                               left_arena.Rows(left_entries[task.left].span),
-                               piece.left_len, gap, ws.suffixes.data(),
-                               ws.outputs.data(), count, ws.kernel);
-      for (std::uint32_t k = 0; k < count; ++k) {
-        meta_lens[piece.meta_base + k] =
-            static_cast<std::uint32_t>(ws.outputs[k].len);
-        meta_supports[piece.meta_base + k] = ws.outputs[k].support;
-      }
-      filled = true;
-    }
-    piece_state[static_cast<std::size_t>(index)].store(
-        filled ? kFilled : kAbandoned, std::memory_order_release);
-    MutexLock lock(mu);
-    merge_cv.notify_all();
-  };
-
-  std::uint64_t merge_head = 0;  // next piece to merge (plan order)
-  std::uint64_t published = 0;   // driver's mirror of piece_limit
-  std::uint64_t next_block = 0;
-  std::uint64_t window_reserved = 0;  // absolute row bound of the window
-  std::uint64_t window_meta = 0;      // metadata slots used in the window
-  bool publish_stopped = false;       // guard trip: publish no further work
+  std::vector<WorkerScratch> scratch(num_threads());
+  // The current window's per-candidate kernel outputs, indexed by
+  // Piece::out_index (+ the candidate's position in its piece).
+  std::vector<GroupOutput> outputs;
+  PilEntry* base = nullptr;  // `out`'s rows; stable within a window
   Status sink_status = Status::OK();
+  Stopwatch phase;
 
-  // Publishes blocks while they fit in the reserved window. When the
-  // window is exhausted and drained (merge_head == published), recycles it:
-  // truncate the dead scratch, Reserve a fresh window — the only potential
-  // reallocation, and by construction no piece is in flight to observe it.
-  auto publish_blocks = [&]() {
-    bool any = false;
-    while (!publish_stopped && next_block < blocks.size()) {
-      if (guard != nullptr && guard->stopped()) {
-        publish_stopped = true;
-        break;
-      }
-      const Block& block = blocks[static_cast<std::size_t>(next_block)];
-      if (out.size() + block.rows > window_reserved) {
-        if (merge_head < published) break;  // ring busy: merge first
-        out.TruncateToWatermark();
-        std::uint64_t rows = 0;
-        std::uint64_t cands = 0;
-        for (std::uint64_t b = next_block;
-             b < blocks.size() && rows < kWindowRowsTarget; ++b) {
-          rows += blocks[static_cast<std::size_t>(b)].rows;
-          cands += blocks[static_cast<std::size_t>(b)].cands;
-        }
-        if (!out.Reserve(static_cast<std::size_t>(out.size() + rows))) {
-          // Memory trip. The guard latched with the pipeline empty, so the
-          // delivered prefix — every candidate of the previous windows —
-          // is exact and identical at every thread count.
-          publish_stopped = true;
-          break;
-        }
-        window_reserved = out.size() + rows;
-        if (meta_lens.size() < cands) {
-          meta_lens.resize(static_cast<std::size_t>(cands));
-          meta_supports.resize(static_cast<std::size_t>(cands));
-        }
-        window_meta = 0;
-        out_base.store(out.MutableRows(PilSpan{0, 0}),
-                       std::memory_order_relaxed);
-        continue;
-      }
-      for (std::uint64_t p = block.piece_begin; p < block.piece_end; ++p) {
-        Piece& piece = pieces[static_cast<std::size_t>(p)];
-        piece.out_offset = out.Allocate(piece.rows).offset;
-        piece.meta_base = window_meta;
-        window_meta += piece.end - piece.begin;
-      }
-      published = block.piece_end;
-      ++next_block;
-      any = true;
-    }
-    if (any) {
-      MutexLock lock(mu);
-      piece_limit.store(published, std::memory_order_release);
-      work_cv.notify_all();
-    }
-  };
-
-  // The driver (worker 0 = the caller thread): publish, merge in piece
-  // order, and fill pieces itself whenever the merge head is waiting on a
-  // piece some other worker owns. Claim order equals plan order, so the
-  // driver's own claims are usually exactly the merge head.
-  auto driver = [&]() {
-    Stopwatch phase;
-    while (true) {
-      publish_blocks();
-      if (merge_head >= published) {
-        // Everything published is merged. Stop, or recycle the window on
-        // the next publish_blocks pass.
-        if (publish_stopped || next_block >= blocks.size()) break;
-        continue;
-      }
-      const std::size_t head = static_cast<std::size_t>(merge_head);
-      const std::uint8_t state =
-          piece_state[head].load(std::memory_order_acquire);
-      if (state == kPending) {
-        const std::uint64_t claimed = try_claim();
-        if (claimed != kNone) {
-          phase.Reset();
-          run_piece(claimed, scratch[0]);
-          timing.fill_seconds += phase.ElapsedSeconds();
-          continue;
-        }
-        phase.Reset();
-        {
-          MutexLock lock(mu);
-          while (piece_state[head].load(std::memory_order_acquire) ==
-                 kPending) {
-            merge_cv.wait(mu);
-          }
-        }
-        timing.stall_seconds += phase.ElapsedSeconds();
-        continue;
-      }
-      if (state == kFilled) {
-        // Merge the piece: the sink sees its candidates in plan order.
-        // Abandoned pieces (kAbandoned) are skipped — their ticks were
-        // refunded and their scratch dies with the window.
-        phase.Reset();
-        const Piece& piece = pieces[head];
-        const JoinTask& task = tasks[piece.task];
+  // Fills pieces [first, last) with one fork-join: every worker claims
+  // pieces off the cursor. A piece charges its candidates with one batched
+  // TickN first; a refused batch (guard trip) leaves the piece unfilled and
+  // refunds the ticks, so the guard's tick total stays equal to the
+  // candidates the sink receives.
+  auto fill = [&](std::size_t first, std::size_t last) {
+    std::atomic<std::size_t> cursor{first};
+    double caller_seconds = 0.0;
+    phase.Reset();
+    pool_.Execute([&](std::size_t worker) {
+      WorkerScratch& ws = scratch[worker];
+      while (true) {
+        const std::size_t p = cursor.fetch_add(1, std::memory_order_relaxed);
+        if (p >= last) break;
+        Piece& piece = pieces[p];
         const std::uint32_t count = piece.end - piece.begin;
+        if (guard != nullptr && !guard->TickN(count)) continue;
+        const JoinTask& task = tasks[piece.task];
+        if (ws.suffixes.size() < count) ws.suffixes.resize(count);
+        GroupOutput* slots = outputs.data() + piece.out_index;
         for (std::uint32_t k = 0; k < count; ++k) {
-          JoinedCandidate candidate;
-          candidate.left = task.left;
-          candidate.right = pool[task.rights_begin + piece.begin + k];
-          candidate.span = PilSpan{piece.out_offset + k * piece.left_len,
-                                   meta_lens[piece.meta_base + k]};
-          candidate.support = meta_supports[piece.meta_base + k];
-          Status status = sink(candidate);
-          if (!status.ok()) {
-            sink_status = std::move(status);
-            stop.store(true, std::memory_order_relaxed);
-            break;
-          }
-          ++timing.candidates;
+          const ArenaEntry& right =
+              right_entries[pool[task.rights_begin + piece.begin + k]];
+          ws.suffixes[k] =
+              GroupSuffix{right_arena.Rows(right.span), right.span.len};
+          slots[k] = GroupOutput{base + piece.out_offset + k * piece.left_len,
+                                 0, {}};
         }
-        timing.merge_seconds += phase.ElapsedSeconds();
-        if (!sink_status.ok()) break;
+        CombinePrefixGroupKernel(kernel,
+                                 left_arena.Rows(left_entries[task.left].span),
+                                 piece.left_len, gap, ws.suffixes.data(),
+                                 slots, count, ws.kernel);
+        piece.filled = true;
       }
-      ++merge_head;
-    }
-    MutexLock lock(mu);
-    level_done.store(true, std::memory_order_relaxed);
-    work_cv.notify_all();
-  };
-
-  // Workers: claim and fill until the level is done and the published
-  // pieces are drained. After a stop/trip, remaining claims resolve as
-  // cheap abandons, so the drain is prompt.
-  auto worker_loop = [&](std::size_t worker) {
-    WorkerScratch& ws = scratch[worker];
-    while (true) {
-      const std::uint64_t claimed = try_claim();
-      if (claimed != kNone) {
-        run_piece(claimed, ws);
-        continue;
-      }
-      MutexLock lock(mu);
-      while (!level_done.load(std::memory_order_relaxed) &&
-             next_piece.load(std::memory_order_relaxed) >=
-                 piece_limit.load(std::memory_order_relaxed)) {
-        work_cv.wait(mu);
-      }
-      if (level_done.load(std::memory_order_relaxed) &&
-          next_piece.load(std::memory_order_relaxed) >=
-              piece_limit.load(std::memory_order_relaxed)) {
-        return;
-      }
-    }
-  };
-
-  if (pool_ == nullptr) {
-    driver();
-  } else {
-    pool_->Execute([&](std::size_t worker) {
-      if (worker == 0) {
-        driver();
-      } else {
-        worker_loop(worker);
-      }
+      if (worker == 0) caller_seconds = phase.ElapsedSeconds();
     });
+    timing.fill_seconds += caller_seconds;
+    timing.stall_seconds += phase.ElapsedSeconds() - caller_seconds;
+  };
+
+  // Feeds the filled pieces of [first, last) to the sink in plan order,
+  // stopping at the first sink error. Unfilled pieces are skipped — their
+  // ticks were refunded and their scratch dies with the window.
+  auto merge = [&](std::size_t first, std::size_t last) {
+    phase.Reset();
+    for (std::size_t p = first; p < last && sink_status.ok(); ++p) {
+      const Piece& piece = pieces[p];
+      if (!piece.filled) continue;
+      const JoinTask& task = tasks[piece.task];
+      for (std::uint32_t k = 0; k < piece.end - piece.begin; ++k) {
+        const GroupOutput& slot = outputs[piece.out_index + k];
+        JoinedCandidate candidate;
+        candidate.left = task.left;
+        candidate.right = pool[task.rights_begin + piece.begin + k];
+        candidate.span =
+            PilSpan{piece.out_offset + k * piece.left_len, slot.len};
+        candidate.support = slot.support;
+        sink_status = sink(candidate);
+        if (!sink_status.ok()) break;
+        ++timing.candidates;
+      }
+    }
+    timing.merge_seconds += phase.ElapsedSeconds();
+  };
+
+  for (const Window& window : windows) {
+    if (guard != nullptr && guard->stopped()) break;
+    // Recycle the scratch and reserve the window. Reserve is the only call
+    // that may move the buffer, and no fill is in flight here.
+    out.TruncateToWatermark();
+    if (!out.Reserve(static_cast<std::size_t>(out.size() + window.rows))) {
+      // Memory trip. Every candidate of the previous windows was delivered,
+      // so the prefix is exact and identical at every thread count.
+      break;
+    }
+    if (outputs.size() < window.cands) {
+      outputs.resize(static_cast<std::size_t>(window.cands));
+    }
+    std::uint64_t out_index = 0;
+    for (std::size_t p = window.piece_begin; p < window.piece_end; ++p) {
+      Piece& piece = pieces[p];
+      piece.out_offset = out.Allocate(piece.rows).offset;
+      piece.out_index = out_index;
+      out_index += piece.end - piece.begin;
+    }
+    base = out.MutableRows(PilSpan{0, 0});
+
+    // Fill, then merge, one batch of pieces at a time: the whole window
+    // when there are workers to share it; one piece when serial, so each
+    // piece's rows are merged while they are still in cache.
+    const std::size_t batch =
+        num_threads() == 1 ? 1 : window.piece_end - window.piece_begin;
+    for (std::size_t first = window.piece_begin;
+         first < window.piece_end && sink_status.ok(); first += batch) {
+      const std::size_t last = std::min(first + batch, window.piece_end);
+      fill(first, last);
+      merge(first, last);
+    }
+    if (!sink_status.ok()) break;
   }
 
-  // Catch-all reclaim: on the sink-error path workers may have filled
-  // pieces after the driver left; the pool has quiesced, so truncating
-  // here leaves exactly the promoted spans (the invariant EndScratch
-  // asserts).
+  // Reclaim the last window's dead scratch, leaving exactly the promoted
+  // spans (the invariant EndScratch asserts).
   out.TruncateToWatermark();
   if (!sink_status.ok()) return sink_status;
   if (guard != nullptr && guard->stopped()) *interrupted = true;

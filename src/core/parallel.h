@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <vector>
 
 #include "core/candidate_index.h"
@@ -39,73 +38,53 @@ struct JoinedCandidate {
 /// Promote on the output arena (and nothing else on it).
 using JoinSink = std::function<Status(const JoinedCandidate&)>;
 
-/// Data-parallel execution of one level's join plan — a pipeline, not a
-/// barrier.
+/// Data-parallel execution of one level's join plan: one fork-join per
+/// scratch window.
 ///
-/// The plan is pre-sliced (serially, from the plan alone) into "pieces":
-/// slices of one task's rights range sized by output rows (left-PIL length
-/// × candidates, targeting kPieceRowsTarget), each one call of the
-/// prefix-group kernel (core/pil_arena.h). Pieces are grouped in plan order
-/// into "blocks" sized by the same row measure (kBlockRowsTarget), so a
-/// skewed prefix group costs proportionally many blocks instead of
-/// straggling inside one. Slicing depends only on the plan, never on the
-/// schedule or the thread count.
+/// A serial prepass slices the plan into "pieces": slices of one task's
+/// rights range sized by output rows (left-PIL length x candidates,
+/// targeting kPieceRowsTarget), each one call of the prefix-group kernel
+/// (core/kernel.h). Consecutive pieces form row-sized "blocks"
+/// (kBlockRowsTarget), and consecutive blocks form "windows" of at least
+/// kWindowRowsTarget rows, so a skewed prefix group costs proportionally
+/// many pieces instead of straggling inside one. Slicing depends only on
+/// the plan, never on the schedule or the thread count.
 ///
-/// Execution runs the whole level inside ONE ThreadPool::Execute call.
-/// Worker 0 — the caller thread — is the driver: it publishes blocks into a
-/// bounded ring of reserved scratch (assigning every piece a disjoint
-/// output-arena slice), merges completed pieces through the sink strictly
-/// in piece order, and fills pieces itself whenever the merge head is
-/// waiting on someone else's piece. The other workers loop claiming pieces
-/// off a shared cursor (claim order = plan order) and filling their
-/// pre-assigned slices. Publication is the release-store of the claimable
-/// piece limit; completion is a per-piece state flag the driver
-/// acquire-loads before reading the piece's rows — so the merge overlaps
-/// in-flight joins instead of waiting for a level-wide barrier.
-///
-/// Ring bound / arena protocol: the driver reserves a scratch window of
-/// kWindowRowsTarget rows (at least one block) ahead of the watermark and
-/// publishes blocks only while they fit; when the window is exhausted and
-/// every published piece has merged, it truncates the dead scratch and
-/// recycles the window. Reserve() — the only call that may reallocate the
-/// buffer — therefore runs only while no piece is in flight, which is what
-/// makes the workers' raw row pointers stable. Promote() compacts merged
-/// rows onto the watermark, which never overtakes an unmerged piece's slice
-/// because retained rows never exceed the scratch they came from.
+/// Each window runs on the calling thread in three steps: Reserve its rows
+/// in `out` and assign every piece a disjoint output slice; fill the pieces
+/// with one ThreadPool::Execute whose workers claim them off an atomic
+/// cursor; merge the filled pieces through the sink in piece order. A
+/// serial executor fills and merges one piece at a time instead, so each
+/// piece's rows are merged while still in cache; its windows are the same.
+/// Reserve() — the only call that may move the arena's buffer — therefore
+/// runs only while no fill is in flight, and the pool's join orders every
+/// filled row before the merge reads it.
 ///
 /// Ordering argument (the byte-identical `--threads` contract): the sink
 /// sees candidates exactly in plan order regardless of which worker filled
 /// them, kernel arithmetic is schedule-independent, and scratch offsets
-/// never reach the output (Promote assigns final spans in merge order). An
-/// uninterrupted run is therefore byte-identical at every thread count.
+/// never reach the output (Promote assigns final spans in merge order).
+/// Windows and their Reserve sizes depend only on the plan, so an
+/// uninterrupted run, its PIL memory peak included, is byte-identical at
+/// every thread count.
 ///
-/// Guard interaction: a worker charges a claimed piece's candidates with
-/// one TickN(count) before filling; a refused batch (trip) abandons the
-/// piece and refunds the ticks, so the guard's tick total equals the
-/// candidates actually delivered to the sink. After a trip the driver stops
-/// publishing, drains the published window (filled pieces still reach the
-/// sink — the work was paid for), and reports *interrupted. A Reserve()
-/// that trips the memory budget latches at a window boundary, where the
-/// pipeline is empty by construction — so memory-budget truncation points
-/// are deterministic and the delivered prefix is byte-identical at every
+/// Guard interaction: a worker charges a piece's candidates with one
+/// TickN(count) before filling it; a refused batch (trip) leaves the piece
+/// unfilled and refunds the ticks, so the guard's tick total equals the
+/// candidates delivered to the sink. The merge still delivers every filled
+/// piece of the window (the work was paid for), no further window starts,
+/// and *interrupted is set. A Reserve() that trips the memory budget stops
+/// before its window fills, so memory-budget truncation points are
+/// deterministic and the delivered prefix is byte-identical at every
 /// thread count; tick-based trips keep the documented latitude (the
 /// delivered set may differ between thread counts, never its soundness).
-///
-/// Thread-safety shape: the executor's mutex/condvars exist only to park
-/// idle threads (workers waiting for publication, the driver waiting for
-/// the merge head's piece); every data handoff is lock-free — the claim
-/// cursor, the publication limit (release/acquire), the per-piece state
-/// flags (release/acquire), and disjoint pre-assigned arena slices. The
-/// sink and all arena mutation run on the driver (= caller) thread only;
-/// the `arena-scratch` lint rule plus PilArena's runtime asserts enforce
-/// the scratch bracket, and the TSan `concurrency` suite checks the
-/// handoff.
+/// The sink and all arena mutation run on the caller thread only.
 class ParallelLevelExecutor {
  public:
-  /// `threads` follows MinerConfig::threads: 1 = serial (no pool), 0 = one
-  /// worker per hardware thread, T > 1 = exactly T workers.
+  /// `threads` follows MinerConfig::threads: 1 = serial (no worker
+  /// threads), 0 = one worker per hardware thread, T > 1 = exactly T
+  /// workers.
   explicit ParallelLevelExecutor(std::int64_t threads);
-  ~ParallelLevelExecutor();
 
   ParallelLevelExecutor(const ParallelLevelExecutor&) = delete;
   ParallelLevelExecutor& operator=(const ParallelLevelExecutor&) = delete;
@@ -148,7 +127,7 @@ class ParallelLevelExecutor {
                    const std::function<void(std::size_t, std::size_t)>& fn);
 
  private:
-  std::unique_ptr<ThreadPool> pool_;  // null when serial
+  ThreadPool pool_;  // spawns nothing when serial
   ObserverContext* ctx_ = nullptr;
 };
 

@@ -35,10 +35,9 @@ enum class TraceEventKind {
   /// MPPm's Theorem 2 phase: the e_m statistic and the estimated n.
   kEstimate,
   /// One ParallelLevelExecutor::ExecuteJoin call: candidates delivered to
-  /// the sink, worker count, wall-clock seconds, and the driver's
-  /// pipeline-stage split (fill/merge/stall seconds). Volatile
-  /// (thread/timing dependent) — exported only with
-  /// TraceJsonOptions::include_volatile.
+  /// the sink, worker count, wall-clock seconds, and the calling thread's
+  /// fill/merge/stall split. Volatile (thread/timing dependent) — exported
+  /// only with TraceJsonOptions::include_volatile.
   kShardTiming,
   /// The run finished; `detail` carries the termination reason.
   kRunEnd,
@@ -119,9 +118,9 @@ struct TraceEvent {
   std::int64_t workers = 0;
   double seconds = 0.0;
   std::uint64_t memory_bytes = 0;
-  // Pipeline-stage split of the driver's time inside one ExecuteJoin
-  // (kShardTiming only): kernel fills the driver ran itself, sink merging,
-  // and waiting on pieces in flight on other workers.
+  // Split of the calling thread's time inside one ExecuteJoin (kShardTiming
+  // only): the kernel fills it ran itself, the in-order sink merge, and its
+  // wait for the other workers at the end of each window's fill.
   double fill_seconds = 0.0;
   double merge_seconds = 0.0;
   double stall_seconds = 0.0;
@@ -224,7 +223,7 @@ class ObserverContext {
   /// sink deliveries — not the plan size — so interrupted levels report the
   /// work that actually happened; `kernel` names the resolved join-kernel
   /// implementation the pass ran (KernelImplToString); the stage fields
-  /// split the driver's time (see TraceEvent).
+  /// split the calling thread's time (see TraceEvent).
   void ShardTiming(std::uint64_t candidates, std::int64_t workers,
                    const char* kernel, double seconds, double fill_seconds,
                    double merge_seconds, double stall_seconds);

@@ -9,6 +9,7 @@
 
 #include "util/metrics.h"
 #include "util/saturating.h"
+#include "util/string_util.h"
 #include "util/thread_pool.h"
 
 namespace pgm {
@@ -92,8 +93,12 @@ StatusOr<CorpusResult> MineCorpus(const CorpusPlan& plan,
         "corpus plan contains no fragments (" + plan.Describe() +
         "); see CorpusPlan::EmptyPlanDiagnostic");
   }
-  if (options.corpus_threads < 0) {
-    return Status::InvalidArgument("corpus_threads must be >= 0");
+  if (options.corpus_threads < 0 ||
+      options.corpus_threads > ThreadPool::kMaxThreads) {
+    return Status::InvalidArgument(
+        StrFormat("corpus_threads must lie in [0, %lld], got %lld",
+                  static_cast<long long>(ThreadPool::kMaxThreads),
+                  static_cast<long long>(options.corpus_threads)));
   }
   PGM_RETURN_IF_ERROR(CheckAlgorithm(options.algorithm));
 
@@ -138,10 +143,10 @@ StatusOr<CorpusResult> MineCorpus(const CorpusPlan& plan,
   }
 
   // Fan out at whole-fragment granularity: workers claim ordinals off a
-  // shared cursor and mine one fragment per claim. One miner per fragment
-  // sidesteps the per-level pipeline barrier entirely — fragments are
-  // independent runs, so this is the coarse-grain parallelism the level
-  // executor cannot reach on small inputs.
+  // shared cursor and mine one fragment per claim (the level executor's
+  // shape, one ThreadPool::Execute over an atomic cursor, at fragment
+  // grain). Fragments are independent runs, so this is the coarse-grain
+  // parallelism the level executor cannot reach on small inputs.
   std::atomic<std::size_t> cursor{0};
   ThreadPool pool(ThreadPool::ResolveThreadCount(options.corpus_threads));
   pool.Execute([&](std::size_t) {

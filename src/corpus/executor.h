@@ -61,13 +61,14 @@ struct CorpusOptions {
   /// The per-fragment mining configuration. `miner.threads` is the
   /// *within-fragment* level parallelism and defaults to serial — the
   /// corpus executor parallelizes at whole-fragment granularity instead,
-  /// which sidesteps the per-level pipeline barrier entirely.
+  /// which needs no per-window fork-join at all.
   /// `miner.limits` applies to each fragment independently;
   /// `miner.observer` is ignored (attach `observer` below — the executor
   /// must interpose per-fragment sinks to keep exports deterministic).
   MinerConfig miner;
   /// Worker threads mining whole fragments: 1 = serial, 0 = one per
-  /// hardware thread, T > 1 = exactly T. Fragment results are folded in
+  /// hardware thread, T > 1 = exactly T, up to ThreadPool::kMaxThreads
+  /// (larger values are rejected). Fragment results are folded in
   /// plan-ordinal order whatever the thread count, so untripped runs are
   /// byte-identical at every setting.
   std::int64_t corpus_threads = 1;

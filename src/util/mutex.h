@@ -31,7 +31,6 @@ enum LockRank : int {
   kLockRankService = 20,  ///< serve/service.h job table
   kLockRankCache = 30,    ///< serve/cache.h result cache
   kLockRankPool = 40,     ///< util/thread_pool.h task queue
-  kLockRankRing = 50,     ///< core/parallel.cc level-executor block ring
   kLockRankMetrics = 60,  ///< util/metrics.h registry
   kLockRankTrace = 70,    ///< core/trace.h sink
   kLockRankBackoff = 80,  ///< util/backoff.cc sleep recorder
@@ -40,7 +39,7 @@ enum LockRank : int {
 #if PGM_LOCK_ORDER_CHECKS
 namespace lock_order_internal {
 
-/// Per-thread stack of held ranks. Fixed capacity: the hierarchy is eight
+/// Per-thread stack of held ranks. Fixed capacity: the hierarchy is seven
 /// deep and MutexLock scopes nest shallowly; overflowing it is itself a
 /// locking bug, so it aborts rather than silently dropping entries.
 struct HeldStack {

@@ -86,7 +86,9 @@ void ThreadPool::ParallelFor(
 }
 
 std::size_t ThreadPool::ResolveThreadCount(std::int64_t requested) {
-  if (requested > 0) return static_cast<std::size_t>(requested);
+  if (requested > 0) {
+    return static_cast<std::size_t>(std::min(requested, kMaxThreads));
+  }
   if (requested < 0) return 1;
   const unsigned hardware = std::thread::hardware_concurrency();
   return hardware == 0 ? 1 : static_cast<std::size_t>(hardware);

@@ -52,8 +52,15 @@ class ThreadPool {
   void ParallelFor(std::size_t n, std::size_t grain,
                    const std::function<void(std::size_t, std::size_t)>& fn);
 
+  /// Ceiling on an explicit thread-count request. The surfaces that take
+  /// one (MinerConfig::threads, corpus_threads, `pgm serve --workers`)
+  /// reject larger values, and ResolveThreadCount never returns more, so a
+  /// huge request cannot fail a thread spawn and abort the process.
+  static constexpr std::int64_t kMaxThreads = 256;
+
   /// Maps a user-facing thread-count request to an actual worker count:
-  /// 0 means one per hardware thread, anything else is clamped to >= 1.
+  /// 0 means one per hardware thread, anything else is clamped to
+  /// [1, kMaxThreads].
   static std::size_t ResolveThreadCount(std::int64_t requested);
 
  private:

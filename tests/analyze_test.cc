@@ -285,7 +285,7 @@ TEST(ShippedManifestsTest, LoadAndValidate) {
     }
   }
   // The lock hierarchy matches util/mutex.h's LockRank values.
-  ASSERT_EQ(manifests.value().lock_order.locks.size(), 8u);
+  ASSERT_EQ(manifests.value().lock_order.locks.size(), 7u);
   EXPECT_EQ(manifests.value().lock_order.locks.front().rank, 10);
   EXPECT_EQ(manifests.value().lock_order.locks.back().rank, 80);
   // The stopwatch seam exists: it is the sanctioned timing primitive.
@@ -304,8 +304,8 @@ TEST(ShippedManifestsTest, DeclaredHierarchyMatchesRuntimeRanks) {
   const std::vector<std::pair<std::string, int>> expected = {
       {"queue", kLockRankQueue},     {"service", kLockRankService},
       {"cache", kLockRankCache},     {"pool", kLockRankPool},
-      {"ring", kLockRankRing},       {"metrics", kLockRankMetrics},
-      {"trace", kLockRankTrace},     {"backoff", kLockRankBackoff},
+      {"metrics", kLockRankMetrics}, {"trace", kLockRankTrace},
+      {"backoff", kLockRankBackoff},
   };
   ASSERT_EQ(manifests.value().lock_order.locks.size(), expected.size());
   for (std::size_t i = 0; i < expected.size(); ++i) {

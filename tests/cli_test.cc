@@ -47,6 +47,15 @@ TEST(CliInputTest, Presets) {
   EXPECT_FALSE(LoadInput("preset:unknown").ok());
   EXPECT_FALSE(LoadInput("preset:bacteria:-5").ok());
   EXPECT_FALSE(LoadInput("preset:bacteria:10:2:9").ok());
+  // The surrogate is one fixed sequence: a length or seed is refused, not
+  // silently ignored.
+  for (const char* spec :
+       {"preset:ax829174:8000", "preset:ax829174:8000:42"}) {
+    StatusOr<Sequence> sized = LoadInput(spec);
+    ASSERT_FALSE(sized.ok()) << spec;
+    EXPECT_EQ(sized.status().code(), StatusCode::kInvalidArgument) << spec;
+    EXPECT_NE(sized.status().message().find("ax829174"), std::string::npos);
+  }
 }
 
 TEST(CliInputTest, PresetDeterministicPerSpec) {
@@ -264,6 +273,22 @@ TEST(CliRunTest, GenerateRoundTripsThroughFastaInput) {
   EXPECT_EQ(loaded->ToString(), direct.ToString());
 }
 
+TEST(CliRunTest, GenerateWritesTheFixedSurrogate) {
+  // --length and --seed are ignored for the surrogate, so its FASTA is the
+  // 10,011-bp sequence whatever they say.
+  const std::string path = testing::TempDir() + "/cli_gen_ax.fa";
+  std::string output;
+  const int code = RunFromString(
+      "pgm generate --preset ax829174 --length 3000 --seed 11 --output " +
+          path,
+      &output);
+  EXPECT_EQ(code, 0) << output;
+  StatusOr<Sequence> loaded = LoadInput("fasta:" + path);
+  std::remove(path.c_str());
+  ASSERT_TRUE(loaded.ok());
+  EXPECT_EQ(loaded->ToString(), LoadInput("preset:ax829174")->ToString());
+}
+
 TEST(CliRunTest, GenerateRequiresOutput) {
   std::string output;
   EXPECT_EQ(RunFromString("pgm generate --preset bacteria", &output), 2);
@@ -475,6 +500,29 @@ TEST(CliGovernanceTest, NegativeBudgetRejected) {
   EXPECT_NE(error.find("must be non-negative"), std::string::npos);
 }
 
+// A thread count above ThreadPool::kMaxThreads is a usage error naming the
+// value, not a failed thread spawn that aborts the process.
+TEST(CliGovernanceTest, ThreadCountAboveTheCeilingIsRejected) {
+  std::string output, error;
+  EXPECT_EQ(RunFromString(
+                "pgm mine --input raw:ACGTACGT --min-gap 0 --max-gap 1 "
+                "--rho-percent 1 --threads 1000000",
+                &output, &error),
+            2);
+  EXPECT_NE(error.find("threads must lie in [0, 256]"), std::string::npos)
+      << error;
+  EXPECT_NE(error.find("1000000"), std::string::npos) << error;
+  error.clear();
+  EXPECT_EQ(RunFromString(
+                "pgm corpus --input preset:bacteria:6000:1 "
+                "--fragment-length 2000 --min-gap 1 --max-gap 3 "
+                "--rho-percent 0.5 --start-length 2 --threads 1000000",
+                &output, &error),
+            2);
+  EXPECT_NE(error.find("corpus_threads"), std::string::npos) << error;
+  EXPECT_NE(error.find("1000000"), std::string::npos) << error;
+}
+
 TEST(CliGovernanceTest, ZeroDeadlineExitsZeroWithPartialBanner) {
   std::string output;
   const int code = RunFromString(
@@ -681,6 +729,37 @@ TEST(CliServeTest, FailedJobResponseSaysWhy) {
   EXPECT_NE(output.find("IoError load_attempts=2: cannot open"),
             std::string::npos)
       << output;
+}
+
+TEST(CliServeTest, OversizedThreadCountFailsOnlyItsJob) {
+  const std::string jobs = WriteJobsFile(
+      "serve_threads.jobs",
+      "raw:ACGTACGTACGTACGT rho-percent=50\n"
+      "raw:ACGTACGTACGTACGT rho-percent=50 threads=1000000\n"
+      "raw:ACGTACGTACGTACGT rho-percent=50 max-gap=1\n");
+  std::string output;
+  const int code = RunFromString("pgm serve --jobs " + jobs, &output);
+  std::remove(jobs.c_str());
+  EXPECT_EQ(code, 0) << output;
+  EXPECT_NE(output.find("job 2 raw:ACGTACGTACGTACGT mpp: InvalidArgument: "
+                        "threads must lie in [0, 256]"),
+            std::string::npos)
+      << output;
+  EXPECT_NE(output.find("2 completed"), std::string::npos) << output;
+  EXPECT_NE(output.find("1 failed"), std::string::npos) << output;
+}
+
+TEST(CliServeTest, WorkersAboveTheCeilingIsRejected) {
+  const std::string jobs = WriteJobsFile(
+      "serve_workers.jobs", "raw:ACGTACGTACGTACGT rho-percent=50\n");
+  std::string output, error;
+  const int code = RunFromString(
+      "pgm serve --jobs " + jobs + " --workers 1000000", &output, &error);
+  std::remove(jobs.c_str());
+  EXPECT_EQ(code, 2) << output;
+  EXPECT_NE(error.find("--workers must be at most 256, got 1000000"),
+            std::string::npos)
+      << error;
 }
 
 TEST(CliServeTest, HelpListsTheJobKeys) {

@@ -21,6 +21,7 @@
 #include "seq/sequence.h"
 #include "serve/service.h"
 #include "util/status.h"
+#include "util/thread_pool.h"
 
 namespace pgm {
 namespace {
@@ -336,6 +337,31 @@ TEST(CorpusExecutorTest, UnknownAlgorithmFailsWithoutCharging) {
   EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
   EXPECT_EQ(ledger.outstanding_bytes(), 0u);
   EXPECT_EQ(ledger.peak_bytes(), 0u);
+}
+
+TEST(CorpusExecutorTest, CorpusThreadsAboveTheCeilingFailWithoutCharging) {
+  CorpusPlan plan = *CorpusPlan::FromSequence(PeriodicSeq(32), "rec",
+                                              PlanOptions(16, false));
+  CorpusLedger ledger;
+  CorpusOptions options;
+  options.miner = TinyConfig(1, 2, 0.02);
+  options.corpus_threads = ThreadPool::kMaxThreads + 1;
+  options.ledger = &ledger;
+  StatusOr<CorpusResult> result = MineCorpus(plan, options);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(result.status().message().find(
+                std::to_string(options.corpus_threads)),
+            std::string::npos)
+      << result.status().message();
+  EXPECT_EQ(ledger.peak_bytes(), 0u);
+
+  // The ceiling itself is a legal request.
+  options.corpus_threads = ThreadPool::kMaxThreads;
+  result = MineCorpus(plan, options);
+  ASSERT_TRUE(result.ok()) << result.status().message();
+  EXPECT_TRUE(result->complete());
+  EXPECT_EQ(ledger.outstanding_bytes(), 0u);
 }
 
 TEST(CorpusExecutorTest, ToMiningResultCarriesTheAggregate) {

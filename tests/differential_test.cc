@@ -130,7 +130,7 @@ TEST_P(DifferentialSweep, EnginesAgreeAndInvariantsHold) {
   base.em_order = 2;
 
   // Odd counts (3, 5) catch piece/block splits that only divide evenly by
-  // powers of two; 16 oversubscribes every CI machine, so the pipeline runs
+  // powers of two; 16 oversubscribes every CI machine, so the executor runs
   // with more workers than cores.
   for (std::int64_t threads : {std::int64_t{1}, std::int64_t{2},
                                std::int64_t{3}, std::int64_t{5},

@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "core/miner.h"
+#include "util/thread_pool.h"
 
 namespace pgm {
 namespace {
@@ -70,6 +71,23 @@ TEST_P(MinerValidationTest, RejectsMaxLengthBelowStart) {
   config.start_length = 3;
   config.max_length = 2;
   EXPECT_FALSE(GetParam()(SmallSeq(), config).ok());
+}
+
+TEST_P(MinerValidationTest, RejectsThreadsAboveTheCeiling) {
+  MinerConfig config = ValidConfig();
+  config.threads = ThreadPool::kMaxThreads + 1;
+  StatusOr<MiningResult> result = GetParam()(SmallSeq(), config);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(result.status().message().find(std::to_string(config.threads)),
+            std::string::npos)
+      << result.status().message();
+}
+
+TEST_P(MinerValidationTest, AcceptsThreadsAtTheCeiling) {
+  MinerConfig config = ValidConfig();
+  config.threads = ThreadPool::kMaxThreads;
+  EXPECT_TRUE(GetParam()(SmallSeq(), config).ok());
 }
 
 TEST_P(MinerValidationTest, SupportRatioOfExactlyOneIsValid) {

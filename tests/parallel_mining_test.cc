@@ -50,9 +50,9 @@ MinerConfig TestConfig() {
   return config;
 }
 
-// Everything in a MiningResult except wall-clock times and the memory peak
-// (the peak depends on how many candidate PILs are simultaneously live,
-// which legitimately varies with the thread count).
+// Everything in a MiningResult except wall-clock times. The PIL memory peak
+// is included: the executor's scratch windows, and so every arena Reserve,
+// depend only on the join plan, never on the thread count.
 void ExpectSameResult(const MiningResult& serial, const MiningResult& parallel,
                       const std::string& context) {
   SCOPED_TRACE(context);
@@ -84,6 +84,7 @@ void ExpectSameResult(const MiningResult& serial, const MiningResult& parallel,
   EXPECT_EQ(serial.em, parallel.em);
   EXPECT_EQ(serial.estimated_n, parallel.estimated_n);
   EXPECT_EQ(serial.adaptive_iterations, parallel.adaptive_iterations);
+  EXPECT_EQ(serial.pil_memory_peak_bytes, parallel.pil_memory_peak_bytes);
 }
 
 TEST(ParallelMiningTest, AllMinersIdenticalAcrossThreadCountsRandomized) {
@@ -242,14 +243,14 @@ TEST(ParallelMiningTest, PartialResultsStaySoundUnderBudgetAtAnyThreadCount) {
   }
 }
 
-// --- Pipelined-sink contract: what the executor delivers (and charges)
+// --- Windowed-sink contract: what the executor delivers (and charges)
 // when a run does NOT finish cleanly. The delivered prefix must be
 // byte-identical at every thread count for memory trips (which latch at a
-// window boundary, where the pipeline is deterministically empty) and for
-// sink errors (the merge stops in candidate order); and the guard's tick
-// total must equal the candidates actually delivered to the sink (TickN
-// refunds abandoned pieces), except after a sink error, where workers may
-// have paid for fills the merge never consumed.
+// window's Reserve, before any of its pieces fill) and for sink errors (the
+// merge stops in candidate order); and the guard's tick total must equal
+// the candidates actually delivered to the sink (TickN refunds refused
+// pieces), except after a sink error, where with several workers the
+// failing window's later pieces were filled and paid for but never merged.
 
 struct SinkRecord {
   std::string symbols;
@@ -361,8 +362,8 @@ TEST(ParallelMiningTest, MemoryTripPrefixByteIdenticalAcrossThreadCounts) {
   }
   ASSERT_NE(trip_budget, 0u)
       << "no probed budget produced a mid-level memory trip";
-  // The trip latched at a window boundary with the pipeline drained, so the
-  // ticks charged are exactly the candidates the sink received.
+  // The trip latched at a window's Reserve, before any of its pieces filled,
+  // so the ticks charged are exactly the candidates the sink received.
   EXPECT_EQ(reference.ticks, reference.delivered.size());
 
   for (std::int64_t threads : {2, 8}) {
@@ -398,8 +399,9 @@ TEST(ParallelMiningTest, SinkErrorPrefixByteIdenticalAcrossThreadCounts) {
     EXPECT_EQ(run.status.message(), reference.status.message());
     EXPECT_EQ(run.delivered, reference.delivered)
         << "sink-error prefix depends on the thread count";
-    // Workers may have filled (and paid for) pieces past the failure point
-    // before observing the stop, so ticks only bounds delivered from above.
+    // The failing window's later pieces were filled (and paid for) before
+    // the merge reached the failure, so ticks only bounds delivered from
+    // above.
     EXPECT_GE(run.ticks, run.delivered.size());
   }
 }

@@ -145,6 +145,13 @@ TEST(ThreadPoolTest, ResolveThreadCountClampsAndDetects) {
   EXPECT_GE(ThreadPool::ResolveThreadCount(0), 1u);  // hardware concurrency
 }
 
+TEST(ThreadPoolTest, ResolveThreadCountNeverExceedsTheCeiling) {
+  EXPECT_EQ(ThreadPool::ResolveThreadCount(ThreadPool::kMaxThreads),
+            static_cast<std::size_t>(ThreadPool::kMaxThreads));
+  EXPECT_EQ(ThreadPool::ResolveThreadCount(1'000'000),
+            static_cast<std::size_t>(ThreadPool::kMaxThreads));
+}
+
 TEST(ThreadPoolTest, DrainsCleanlyWhenDestroyedRightAfterExecute) {
   // The serve host tears its pool down as soon as the drain loop returns;
   // destruction immediately after the join must not lose or hang work.
