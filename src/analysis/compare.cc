@@ -76,8 +76,8 @@ std::vector<NamedPatternSet> PerRecordPatternSets(const CorpusResult& result) {
   std::vector<NamedPatternSet> sets;
   // Fragments arrive in plan-ordinal order, so a record's fragments are
   // contiguous and record order is preserved by appending on index change.
-  std::map<std::vector<Symbol>, FrequentPattern>* current = nullptr;
-  std::map<std::vector<Symbol>, FrequentPattern> best;
+  std::map<std::string, FrequentPattern>* current = nullptr;
+  std::map<std::string, FrequentPattern> best;
   std::size_t current_record = 0;
   auto flush = [&] {
     if (current == nullptr) return;
@@ -95,7 +95,9 @@ std::vector<NamedPatternSet> PerRecordPatternSets(const CorpusResult& result) {
     }
     if (!fragment.mined || !fragment.status.ok()) continue;
     for (const FrequentPattern& fp : fragment.result.patterns) {
-      auto [it, inserted] = best.emplace(fp.pattern.symbols(), fp);
+      const std::vector<Symbol>& symbols = fp.pattern.symbols();
+      auto [it, inserted] =
+          best.emplace(std::string(symbols.begin(), symbols.end()), fp);
       // Keep the best per-fragment support; ties keep the earliest
       // fragment's entry, matching the corpus-wide union fold.
       if (!inserted && fp.support > it->second.support) it->second = fp;

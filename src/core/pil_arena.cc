@@ -5,20 +5,38 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstdlib>
 #include <cstring>
+#include <limits>
+#include <type_traits>
 
 #include "util/saturating.h"
 
 namespace pgm {
 
+// Growth moves rows bytewise (realloc, or mremap above the mmap threshold).
+static_assert(std::is_trivially_copyable_v<PilEntry>);
+
 bool PilArena::Reserve(std::size_t total_rows) {
-  if (total_rows <= rows_.size()) return guard_ == nullptr || !guard_->stopped();
+  if (total_rows <= capacity_) return guard_ == nullptr || !guard_->stopped();
   // Geometric growth so a level loop performs O(log) growths, after which
   // the ping-pong reuse makes further levels allocation-free.
-  const std::size_t grown = std::max(total_rows, rows_.size() * 2);
+  const std::size_t grown = std::max(total_rows, capacity_ * 2);
   const std::uint64_t delta =
-      static_cast<std::uint64_t>(grown - rows_.size()) * sizeof(PilEntry);
-  rows_.resize(grown);
+      static_cast<std::uint64_t>(grown - capacity_) * sizeof(PilEntry);
+  // A short buffer must never survive: a byte size that overflows, or a
+  // failed realloc, ends the process, as the unhandled exception of a failed
+  // vector growth did.
+  if (grown > std::numeric_limits<std::size_t>::max() / sizeof(PilEntry)) {
+    std::abort();
+  }
+  // realloc grows without zeroing the new rows; above the mmap threshold it
+  // is an mremap, so no row is copied either.
+  // pgm-lint: allow(raw-alloc) — PilArena is where src/core's PIL rows live
+  void* grown_rows = std::realloc(rows_, grown * sizeof(PilEntry));
+  if (grown_rows == nullptr) std::abort();
+  rows_ = static_cast<PilEntry*>(grown_rows);
+  capacity_ = grown;
   ++growths_;
   // Charge after growing: the rows exist either way, and the caller is
   // allowed to finish the current block with them (the ledger stays truthful
@@ -31,7 +49,7 @@ PilSpan PilArena::Promote(const PilSpan& span) {
   assert(span.offset >= watermark_);
   PilSpan promoted{watermark_, span.len};
   if (span.offset != watermark_ && span.len > 0) {
-    std::memmove(rows_.data() + watermark_, rows_.data() + span.offset,
+    std::memmove(rows_ + watermark_, rows_ + span.offset,
                  span.len * sizeof(PilEntry));
   }
   watermark_ += span.len;
@@ -39,23 +57,28 @@ PilSpan PilArena::Promote(const PilSpan& span) {
 }
 
 void PilArena::Release() {
-  if (guard_ != nullptr && !rows_.empty()) {
+  if (guard_ != nullptr && capacity_ > 0) {
     guard_->ReleaseMemory(capacity_bytes());
   }
-  rows_.clear();
+  // pgm-lint: allow(raw-alloc) — PilArena is where src/core's PIL rows live
+  std::free(rows_);
+  rows_ = nullptr;
+  capacity_ = 0;
   size_ = 0;
   watermark_ = 0;
 }
 
 void PilArena::MoveFrom(PilArena& other) {
   guard_ = other.guard_;
-  rows_ = std::move(other.rows_);
+  rows_ = other.rows_;
+  capacity_ = other.capacity_;
   size_ = other.size_;
   watermark_ = other.watermark_;
   growths_ = other.growths_;
   scratch_open_ = other.scratch_open_;
   other.guard_ = nullptr;
-  other.rows_.clear();
+  other.rows_ = nullptr;
+  other.capacity_ = 0;
   other.size_ = 0;
   other.watermark_ = 0;
   other.growths_ = 0;

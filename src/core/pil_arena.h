@@ -60,6 +60,13 @@ struct PilSpan {
 /// Concurrent workers may call Rows()/MutableRows() on disjoint spans
 /// between a Reserve and the next serial mutation (the buffer is stable in
 /// that window — this is the executor's fill phase).
+///
+/// Row contents: rows at or above size() after a Reserve are indeterminate.
+/// Growth is a realloc — above the allocator's mmap threshold an mremap
+/// that moves page tables, so no row is copied or zeroed and capacity the
+/// join never writes is never faulted in. Nothing reads such rows: the
+/// kernels write only their candidate's [0, len) slice, and the merge and
+/// Promote read only that range.
 class PilArena {
  public:
   /// An unaccounted arena (no guard).
@@ -99,16 +106,10 @@ class PilArena {
     return span;
   }
 
-  /// Appends one initialized row (first-level construction). Capacity must
-  /// have been Reserve()d. Serial-only.
-  void AppendRow(PilEntry row) { rows_[size_++] = row; }
-
   const PilEntry* Rows(const PilSpan& span) const {
-    return rows_.data() + span.offset;
+    return rows_ + span.offset;
   }
-  PilEntry* MutableRows(const PilSpan& span) {
-    return rows_.data() + span.offset;
-  }
+  PilEntry* MutableRows(const PilSpan& span) { return rows_ + span.offset; }
 
   /// Rows in use (retained + scratch).
   std::uint64_t size() const { return size_; }
@@ -167,9 +168,9 @@ class PilArena {
   }
 
   /// Capacity bytes currently charged to the guard (the arena's high-water
-  /// footprint).
+  /// reservation, not its resident memory).
   std::uint64_t capacity_bytes() const {
-    return rows_.size() * sizeof(PilEntry);
+    return capacity_ * sizeof(PilEntry);
   }
 
   /// Number of buffer growths since construction. A warmed-up arena stops
@@ -182,9 +183,10 @@ class PilArena {
   void MoveFrom(PilArena& other);
 
   MiningGuard* guard_ = nullptr;
-  // Sized to capacity up front (Reserve resizes, Allocate only bumps), so
-  // worker threads never observe a reallocation.
-  std::vector<PilEntry> rows_;
+  // `capacity_` rows, grown only by Reserve (Allocate only bumps), so worker
+  // threads never observe a reallocation. Owned: realloc'd and free'd here.
+  PilEntry* rows_ = nullptr;
+  std::size_t capacity_ = 0;
   std::uint64_t size_ = 0;
   std::uint64_t watermark_ = 0;
   std::uint64_t growths_ = 0;

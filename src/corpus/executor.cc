@@ -5,6 +5,7 @@
 #include <cstddef>
 #include <map>
 #include <memory>
+#include <string>
 #include <utility>
 
 #include "util/metrics.h"
@@ -211,7 +212,9 @@ StatusOr<CorpusResult> MineCorpus(const CorpusPlan& plan,
     FrequentPattern pattern;
     std::uint64_t fragment_count = 0;
   };
-  std::map<std::vector<Symbol>, UnionEntry> pattern_union;
+  // Keyed by the symbols as bytes: the same unsigned order as the symbol
+  // vector, re-sorted to (length, symbols) below either way.
+  std::map<std::string, UnionEntry> pattern_union;
 
   MetricsRegistry* user_metrics =
       observing ? options.observer->metrics : nullptr;
@@ -257,7 +260,9 @@ StatusOr<CorpusResult> MineCorpus(const CorpusPlan& plan,
       corpus.longest_frequent_length = std::max(
           corpus.longest_frequent_length, result.longest_frequent_length);
       for (const FrequentPattern& found : result.patterns) {
-        UnionEntry& entry = pattern_union[found.pattern.symbols()];
+        const std::vector<Symbol>& symbols = found.pattern.symbols();
+        UnionEntry& entry =
+            pattern_union[std::string(symbols.begin(), symbols.end())];
         if (entry.fragment_count == 0 || found.support > entry.pattern.support) {
           // Keep the best *per-fragment* support (§7 aggregation: support
           // is never summed across fragment boundaries); ties keep the

@@ -42,20 +42,6 @@ using CorpusDiffParam =
 class CorpusDifferentialSweep : public testing::TestWithParam<CorpusDiffParam> {
 };
 
-// Same masking contract as the kernel tier suite: the configured tier is
-// the one export field that legitimately differs across tiers.
-std::string MaskKernelTier(std::string json) {
-  const std::string key = "\"kernel_tier\": \"";
-  std::size_t pos = 0;
-  while ((pos = json.find(key, pos)) != std::string::npos) {
-    pos += key.size();
-    const std::size_t end = json.find('"', pos);
-    json.replace(pos, end - pos, "*");
-    pos += 1;
-  }
-  return json;
-}
-
 CorpusPlan BuildPlan(const CorpusDiffParam& param) {
   // Reads only the corpus-shape fields of the tuple; the mining fields
   // belong to BaseConfig.
@@ -105,7 +91,7 @@ ReferenceAggregate SerialReference(const CorpusPlan& plan,
     FrequentPattern pattern;
     std::uint64_t fragments = 0;
   };
-  std::map<std::vector<Symbol>, Entry> fold;
+  std::map<std::string, Entry> fold;
   MinerConfig config = base;
   config.kernel_tier = KernelTier::kScalar;
   config.threads = 1;
@@ -114,7 +100,8 @@ ReferenceAggregate SerialReference(const CorpusPlan& plan,
     EXPECT_TRUE(mined.ok()) << mined.status().message();
     if (!mined.ok()) continue;
     for (const FrequentPattern& fp : mined->patterns) {
-      Entry& entry = fold[fp.pattern.symbols()];
+      const std::vector<Symbol>& symbols = fp.pattern.symbols();
+      Entry& entry = fold[std::string(symbols.begin(), symbols.end())];
       if (entry.fragments == 0 || fp.support > entry.pattern.support) {
         entry.pattern = fp;
       }
@@ -171,7 +158,7 @@ CorpusRun RunCorpus(const CorpusPlan& plan, MinerConfig config,
     run.fragment_counts = run.result.pattern_fragment_counts;
   }
   run.metrics_json = metrics.ToJson();
-  run.trace_json = MaskKernelTier(trace.ToJson());
+  run.trace_json = difftest::MaskKernelTier(trace.ToJson());
   // Structural trace invariant at every thread count: exactly one
   // fragment_start and one fragment_end per planned fragment, emitted in
   // ordinal order, with the fragment's own run events strictly between its

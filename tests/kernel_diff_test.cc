@@ -41,21 +41,6 @@ struct TierRun {
   std::string trace_json;
 };
 
-// The configured tier is the one export field that legitimately differs
-// between kernels (run_start records it verbatim); mask its value so every
-// remaining byte can be compared exactly.
-std::string MaskKernelTier(std::string json) {
-  const std::string key = "\"kernel_tier\": \"";
-  std::size_t pos = 0;
-  while ((pos = json.find(key, pos)) != std::string::npos) {
-    pos += key.size();
-    const std::size_t end = json.find('"', pos);
-    json.replace(pos, end - pos, "*");
-    pos += 1;
-  }
-  return json;
-}
-
 TierRun RunTier(const Sequence& s, MinerConfig config, KernelTier tier,
                 std::int64_t threads) {
   config.kernel_tier = tier;
@@ -73,7 +58,7 @@ TierRun RunTier(const Sequence& s, MinerConfig config, KernelTier tier,
     run.patterns = difftest::CanonicalPatterns(*result, /*max_length=*/1000);
   }
   run.metrics_json = metrics.ToJson();
-  run.trace_json = MaskKernelTier(trace.ToJson());
+  run.trace_json = difftest::MaskKernelTier(trace.ToJson());
   return run;
 }
 

@@ -153,6 +153,7 @@ TEST(ParallelMiningTest, ExecutorMergesInCandidateOrder) {
     PilArena out;
     std::vector<Seen> seen;
     bool interrupted = false;
+    out.BeginScratch();
     Status status = executor.ExecuteJoin(
         level.entries, level.arena, level.entries, level.arena, plan, gap,
         KernelImpl::kScalar, /*guard=*/nullptr, out,
@@ -167,6 +168,7 @@ TEST(ParallelMiningTest, ExecutorMergesInCandidateOrder) {
           return Status::OK();
         },
         &interrupted);
+    out.EndScratch();
     EXPECT_TRUE(status.ok());
     EXPECT_FALSE(interrupted);
     return seen;

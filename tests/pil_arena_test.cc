@@ -254,6 +254,60 @@ TEST(PilArenaMechanicsTest, MoveTransfersBufferAndLedgerCharge) {
   EXPECT_EQ(guard.memory_in_use_bytes(), 0u);
 }
 
+// Growth moves the buffer (a realloc; an mremap once it passes the
+// allocator's mmap threshold, 32 MiB at most in glibc). Rows promoted before
+// a growth must survive it unchanged, and the ledger must carry exactly the
+// doubled capacity, through a move and down to zero when the arena dies.
+TEST(PilArenaMechanicsTest, GrowthKeepsLiveRowsAndChargesCapacity) {
+  const auto row = [](std::size_t i) {
+    return PilEntry{static_cast<std::uint32_t>(i), 3 * i + 1};
+  };
+  // Index of the first of `arena`'s rows that is not row(i), or its size.
+  const auto first_bad_row = [&](const PilArena& arena) {
+    const PilEntry* rows = arena.Rows(PilSpan{0, arena.size()});
+    std::size_t i = 0;
+    while (i < arena.size() && rows[i] == row(i)) ++i;
+    return i;
+  };
+  // 64 MiB of rows, twice glibc's cap on the mmap threshold.
+  constexpr std::size_t kPastMmapRows = std::size_t{4} << 20;
+
+  MiningGuard guard(ResourceLimits{});
+  std::size_t capacity = 1000;
+  {
+    PilArena arena(&guard);
+    ASSERT_TRUE(arena.Reserve(capacity));
+    std::uint64_t growths = 1;
+    while (capacity < kPastMmapRows) {
+      // Fill the arena to capacity with distinct promoted rows...
+      arena.BeginScratch();
+      const std::size_t first = arena.size();
+      const PilSpan span = arena.Allocate(capacity - first);
+      PilEntry* rows = arena.MutableRows(span);
+      for (std::size_t i = 0; i < span.len; ++i) rows[i] = row(first + i);
+      ASSERT_EQ(arena.Promote(span).offset, first);
+      arena.EndScratch();
+
+      // ...then ask for one row more, which doubles the capacity.
+      ASSERT_TRUE(arena.Reserve(capacity + 1));
+      capacity *= 2;
+      ++growths;
+      ASSERT_EQ(arena.size(), capacity / 2);
+      ASSERT_EQ(first_bad_row(arena), arena.size());
+      ASSERT_EQ(arena.capacity_bytes(), capacity * sizeof(PilEntry));
+      ASSERT_EQ(guard.memory_in_use_bytes(), arena.capacity_bytes());
+      ASSERT_EQ(arena.growth_count(), growths);
+    }
+
+    PilArena moved;
+    moved = std::move(arena);
+    EXPECT_EQ(first_bad_row(moved), capacity / 2);
+    EXPECT_EQ(guard.memory_in_use_bytes(), moved.capacity_bytes());
+  }
+  EXPECT_EQ(guard.memory_in_use_bytes(), 0u);
+  EXPECT_EQ(guard.memory_peak_bytes(), capacity * sizeof(PilEntry));
+}
+
 TEST(PilArenaMechanicsTest, ReserveTripReportsBudgetButKeepsCapacityUsable) {
   ResourceLimits limits;
   limits.pil_memory_budget_bytes = 64;

@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/gap.h"
@@ -95,6 +96,29 @@ inline std::string CanonicalPatterns(const MiningResult& result,
     canonical += std::to_string(fp.support);
   }
   return canonical;
+}
+
+/// `json` with the value of every `"kernel_tier": "..."` field replaced by
+/// `*`. The configured tier is the one export field that legitimately
+/// differs between kernels (run_start records it verbatim); masking it lets
+/// every remaining byte be compared exactly. A value with no closing quote
+/// ends the scan, and the rest is copied unchanged.
+inline std::string MaskKernelTier(const std::string& json) {
+  static constexpr std::string_view kKey = "\"kernel_tier\": \"";
+  std::string masked;
+  masked.reserve(json.size());
+  std::size_t copied = 0;
+  for (std::size_t key = json.find(kKey); key != std::string::npos;
+       key = json.find(kKey, copied)) {
+    const std::size_t value = key + kKey.size();
+    const std::size_t end = json.find('"', value);
+    if (end == std::string::npos) break;
+    masked.append(json, copied, value - copied);
+    masked += '*';
+    copied = end;
+  }
+  masked.append(json, copied, std::string::npos);
+  return masked;
 }
 
 /// One-line description of a configuration for SCOPED_TRACE / fixture
