@@ -3,15 +3,18 @@
 //   * PIL combine vs direct-DP support recounting (why PILs exist),
 //   * e_m via bounded multiplicity search vs naive offset enumeration,
 //   * N_l computation across the closed-form and recurrence regions,
+//   * the level join's pair kernel (bitset vs scalar) on cache-resident PILs,
 //   * candidate generation and sequence synthesis throughput.
 
 #include <benchmark/benchmark.h>
 
 #include "bench/common.h"
 #include "core/em.h"
+#include "core/kernel.h"
 #include "core/miner.h"
 #include "core/offset_counter.h"
 #include "core/pil.h"
+#include "core/pil_arena.h"
 #include "core/verifier.h"
 #include "datagen/generators.h"
 #include "datagen/presets.h"
@@ -44,6 +47,55 @@ void BM_PilCombine(benchmark::State& state) {
                           static_cast<std::int64_t>(left_pil.size()));
 }
 BENCHMARK(BM_PilCombine)->Arg(1000)->Arg(10'000)->Arg(100'000);
+
+// --- The level join's pair kernel, cache-resident. ---
+
+// CombinePrefixGroupKernel on dense 10 kb PILs: the 'A' PIL (~2,500 rows)
+// joined with the group of all four single-symbol PILs, at W = 4 and
+// W = 16 (min gap 9), under auto (the AVX2 bitset kernel where the CPU has
+// it) and scalar. Everything fits in L2, so this is the kernel's
+// arithmetic; the same kernel inside a level join also pays for streaming
+// PILs from memory. Items are prefix rows per pair.
+void BM_PairKernel(benchmark::State& state) {
+  const Sequence s = BenchSequence(10'000);
+  const std::int64_t width = state.range(0);
+  const KernelTier tier =
+      state.range(1) == 0 ? KernelTier::kAuto : KernelTier::kScalar;
+  const GapRequirement gap =
+      ValueOrDie(GapRequirement::Create(9, 9 + width - 1));
+  const KernelImpl impl = ResolveKernel(tier, gap);
+  const PartialIndexList prefix = PartialIndexList::ForSymbol(s, 0);
+  std::vector<PartialIndexList> group;
+  for (Symbol symbol = 0; symbol < 4; ++symbol) {
+    group.push_back(PartialIndexList::ForSymbol(s, symbol));
+  }
+  std::vector<GroupSuffix> suffixes;
+  std::vector<std::vector<PilEntry>> slices(group.size());
+  std::vector<GroupOutput> outputs(group.size());
+  for (std::size_t i = 0; i < group.size(); ++i) {
+    suffixes.push_back({group[i].entries().data(), group[i].size()});
+    slices[i].resize(prefix.size());
+    outputs[i].rows = slices[i].data();
+  }
+  KernelScratch scratch;
+  for (auto _ : state) {
+    CombinePrefixGroupKernel(impl, prefix.entries().data(), prefix.size(),
+                             gap, suffixes.data(), outputs.data(),
+                             outputs.size(), scratch);
+    benchmark::DoNotOptimize(outputs.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(prefix.size() *
+                                                    group.size()));
+  state.SetLabel(KernelImplToString(impl));
+}
+BENCHMARK(BM_PairKernel)
+    ->ArgNames({"W", "scalar"})
+    ->Args({4, 0})
+    ->Args({4, 1})
+    ->Args({16, 0})
+    ->Args({16, 1});
 
 void BM_VerifierRecount(benchmark::State& state) {
   const std::size_t length = static_cast<std::size_t>(state.range(0));

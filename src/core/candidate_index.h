@@ -32,8 +32,8 @@ struct BuiltLevel {
 /// One join task: the left pattern extended by every right pattern in
 /// [rights_begin, rights_end) of the plan's rights pool. The candidates of
 /// task t, in rights order, precede those of task t+1 — that flat order is
-/// the executor's merge order, identical to the pre-index candidate order
-/// (left-major, group members in level-index order).
+/// the executor's merge order, and with it the next level's entry order.
+/// SelfJoin orders tasks group-major (see there); CrossProduct left-major.
 struct JoinTask {
   std::uint32_t left = 0;
   std::uint32_t rights_begin = 0;
@@ -57,10 +57,19 @@ class JoinPlan {
   /// The level-wise join of `level` with itself: for every pair (P1, P2)
   /// with suffix(P1) == prefix(P2), the candidate P1[0] + P2. Joining
   /// length-1 entries keys on the empty string, i.e. the full cross
-  /// product. `executor` (optional) parallelizes the probe half — the
-  /// read-only suffix lookups — across its pool; the plan is identical
-  /// with or without it (the bucketing and the left-order compaction stay
-  /// serial).
+  /// product.
+  ///
+  /// Tasks are group-major: every left that joins one rights group runs
+  /// back to back, so the group's suffix PILs are still in cache for all of
+  /// them (left-major order revisits a group once per left, up to |Σ| lefts
+  /// that lie about a level-quarter apart). Groups come in group-index
+  /// order — the first appearance of their prefix in `level` — and lefts
+  /// ascend within a group. The order depends only on `level`, so the
+  /// merge, and with it the output, is identical at every thread count.
+  ///
+  /// `executor` (optional) parallelizes the probe half — the read-only
+  /// suffix lookups — across its pool; the plan is identical with or
+  /// without it (the bucketing and the task ordering stay serial).
   static JoinPlan SelfJoin(const std::vector<ArenaEntry>& level,
                            ParallelLevelExecutor* executor = nullptr);
 

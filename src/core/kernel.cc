@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "util/saturating.h"
-
 namespace pgm {
 
 const char* KernelTierToString(KernelTier tier) {
@@ -58,13 +56,12 @@ namespace {
 
 /// Sizes the bitset layout of one (prefix, suffix) pair: the 64-aligned
 /// `base` of a bitmap over the pair's position span and its `words`.
-/// Returns false — the pair goes to CombinePrefixGroup — when the pair is
-/// not exactly representable: W > 64, an empty side, a saturated suffix
-/// count or total suffix mass at/above the clamp (the bitset kernel's plain
-/// uint64 prefix sums would diverge from WindowSum's clamping), or a span
-/// so sparse the O(span) bitmap pass would dominate the O(rows) scalar
-/// loop. Eligibility depends only on the pair, never the schedule, so the
-/// decision is thread-count independent.
+/// Returns false — the pair goes to CombinePrefixGroup — when W > 64, a
+/// side is empty, or the span is so sparse the O(span) bitmap pass would
+/// dominate the O(rows) scalar loop. O(1): the exactness check over the
+/// suffix counts is the bitset kernel's own (kPairNotExact), made in the
+/// pass that builds its bitmap. Eligibility depends only on the pair,
+/// never the schedule, so the decision is thread-count independent.
 bool BitsetLayout(const PilEntry* prefix_rows, std::size_t prefix_len,
                   const GroupSuffix& suffix, std::uint64_t shift,
                   std::uint64_t wbits, std::uint64_t* base,
@@ -72,13 +69,6 @@ bool BitsetLayout(const PilEntry* prefix_rows, std::size_t prefix_len,
   const PilEntry* suffix_rows = suffix.rows;
   const std::size_t suffix_len = suffix.len;
   if (wbits > 64 || prefix_len == 0 || suffix_len == 0) return false;
-  unsigned __int128 mass = 0;
-  for (std::size_t i = 0; i < suffix_len; ++i) {
-    if (IsSaturated(suffix_rows[i].count)) return false;
-    mass += suffix_rows[i].count;
-  }
-  if (mass >= static_cast<unsigned __int128>(kSaturatedCount)) return false;
-
   const std::uint64_t first_query = prefix_rows[0].pos + shift;
   *base = std::min<std::uint64_t>(suffix_rows[0].pos, first_query) &
           ~std::uint64_t{63};
@@ -111,22 +101,28 @@ void CombinePrefixGroupKernel(KernelImpl impl, const PilEntry* prefix_rows,
     GroupOutput& out = outputs[j];
     std::uint64_t base = 0;
     std::uint64_t words = 0;
-    if (!BitsetLayout(prefix_rows, prefix_len, suffix, shift, wbits, &base,
-                      &words)) {
+    std::size_t len = internal::kPairNotExact;
+    unsigned __int128 support_sum = 0;
+    if (BitsetLayout(prefix_rows, prefix_len, suffix, shift, wbits, &base,
+                     &words)) {
+      const std::size_t alloc = static_cast<std::size_t>(words) + 1;
+      if (scratch.bitmap.size() < alloc) scratch.bitmap.resize(alloc);
+      if (scratch.rank.size() < alloc) scratch.rank.resize(alloc);
+      if (scratch.cum.size() < suffix.len + 1) {
+        scratch.cum.resize(suffix.len + 1);
+      }
+      len = pair_kernel(prefix_rows, prefix_len, suffix.rows, suffix.len,
+                        shift, wbits, base, words, scratch.bitmap.data(),
+                        scratch.rank.data(), scratch.cum.data(), out.rows,
+                        &support_sum);
+    }
+    if (len == internal::kPairNotExact) {
       CombinePrefixGroup(prefix_rows, prefix_len, gap, &suffix, &out, 1,
                          scratch.scalar);
       continue;
     }
-    const std::size_t alloc = static_cast<std::size_t>(words) + 1;
-    if (scratch.bitmap.size() < alloc) scratch.bitmap.resize(alloc);
-    if (scratch.rank.size() < alloc) scratch.rank.resize(alloc);
-    if (scratch.cum.size() < suffix.len + 1) scratch.cum.resize(suffix.len + 1);
-    unsigned __int128 support_sum = 0;
-    out.len = pair_kernel(prefix_rows, prefix_len, suffix.rows, suffix.len,
-                          shift, wbits, base, words, scratch.bitmap.data(),
-                          scratch.rank.data(), scratch.cum.data(), out.rows,
-                          &support_sum);
-    // No window clamps under the guards, so the only saturation source left
+    out.len = len;
+    // No window clamps on an exact pair, so the only saturation source left
     // is the cross-row support sum.
     out.support = ClampSupport(support_sum, /*saturated=*/false);
   }

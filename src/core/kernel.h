@@ -63,11 +63,11 @@ struct KernelScratch {
 /// (core/pil_arena.h), with `impl` selecting the implementation.
 /// kScalar delegates to CombinePrefixGroup verbatim. kAvx2 runs each
 /// (prefix, suffix) pair through the bitset kernel when the pair is exactly
-/// representable (W <= 64, no saturated suffix counts, total suffix count
-/// below the clamp, dense-enough position span) and through
-/// CombinePrefixGroup otherwise — every path reproduces the oracle's rows
-/// and supports byte-for-byte, which the kernel test layer enforces rather
-/// than trusts. kAvx2 requires Avx2Available().
+/// representable (W <= 64, dense-enough position span, and — decided by the
+/// bitset kernel in its one suffix pass — total suffix count below the
+/// clamp) and through CombinePrefixGroup otherwise — every path reproduces
+/// the oracle's rows and supports byte-for-byte, which the kernel test
+/// layer enforces rather than trusts. kAvx2 requires Avx2Available().
 void CombinePrefixGroupKernel(KernelImpl impl, const PilEntry* prefix_rows,
                               std::size_t prefix_len,
                               const GapRequirement& gap,
@@ -77,14 +77,22 @@ void CombinePrefixGroupKernel(KernelImpl impl, const PilEntry* prefix_rows,
 
 namespace internal {
 
+/// What a BitsetPairKernel returns for a pair whose suffix counts sum to
+/// kSaturatedCount or more (a saturated row is kSaturatedCount itself): its
+/// uint64 prefix sums could not reproduce WindowSum's clamping, so the pair
+/// goes to CombinePrefixGroup instead. No row count reaches it, since a
+/// pair emits at most one row per prefix row.
+inline constexpr std::size_t kPairNotExact = ~std::size_t{0};
+
 /// The bitset pair kernel for one (prefix, suffix) pair that passed
-/// CombinePrefixGroupKernel's guards. Suffix positions are marked in a
-/// bitmap of `words` 64-bit words starting at position `base` (a multiple
+/// CombinePrefixGroupKernel's layout checks. Suffix positions are marked in
+/// a bitmap of `words` 64-bit words starting at position `base` (a multiple
 /// of 64); prefix row x's window starts at bit x + `shift` - base and is
 /// `wbits` (1..64) bits wide. The caller sizes `bitmap` and `rank` to
-/// words + 1 entries and `cum` to suffix_len + 1. Writes the pair's rows to
-/// `out_rows`, returns how many, and stores the exact sum of their counts
-/// in *support_sum.
+/// words + 1 entries and `cum` to suffix_len + 1. Returns kPairNotExact,
+/// having written no output row, when the suffix counts sum to the clamp
+/// or past it. Otherwise writes the pair's rows to `out_rows`, returns how
+/// many, and stores the exact sum of their counts in *support_sum.
 using BitsetPairKernel = std::size_t (*)(
     const PilEntry* prefix_rows, std::size_t prefix_len,
     const PilEntry* suffix_rows, std::size_t suffix_len, std::uint64_t shift,

@@ -1,5 +1,7 @@
 #include "core/kernel.h"
 
+#include "util/saturating.h"
+
 // The one translation unit built with -mavx2 (x86 only; see
 // src/core/CMakeLists.txt), and the only one the raw-intrinsics pgm_lint
 // rule lets use vector intrinsics. The whole bitset pair kernel lives here,
@@ -85,7 +87,11 @@ void ExtractWindows(const std::uint64_t* bitmap, const std::uint64_t* rank,
 /// suffix counts, so a prefix row resolves in O(1): popcount its window
 /// mask for the number of suffix rows in the window, rank + a masked
 /// popcount for the first of them, and the window total is a cum
-/// difference.
+/// difference. The suffix is read once: the pass that marks its positions
+/// also builds cum and decides exactness. The pair is inexact when it has
+/// a saturated row or its exact mass is >= kSaturatedCount; a saturated
+/// row is kSaturatedCount itself, so that is exactly the running uint64
+/// sum overflowing or ending at kSaturatedCount.
 std::size_t CombinePairAvx2(const PilEntry* prefix_rows,
                             std::size_t prefix_len,
                             const PilEntry* suffix_rows,
@@ -97,20 +103,23 @@ std::size_t CombinePairAvx2(const PilEntry* prefix_rows,
                             unsigned __int128* support_sum) {
   // The trailing pad word keeps every query's second-word read in bounds.
   for (std::uint64_t w = 0; w <= words; ++w) bitmap[w] = 0;
+  std::uint64_t mass = 0;
+  cum[0] = 0;
   for (std::size_t i = 0; i < suffix_len; ++i) {
     const std::uint64_t bit = suffix_rows[i].pos - base;
     bitmap[bit >> 6] |= std::uint64_t{1} << (bit & 63);
+    if (__builtin_add_overflow(mass, suffix_rows[i].count, &mass)) {
+      return kPairNotExact;
+    }
+    cum[i + 1] = mass;
   }
+  if (mass == kSaturatedCount) return kPairNotExact;
   std::uint64_t running = 0;
   for (std::uint64_t w = 0; w < words; ++w) {
     rank[w] = running;
     running += static_cast<std::uint64_t>(__builtin_popcountll(bitmap[w]));
   }
   rank[words] = running;
-  cum[0] = 0;
-  for (std::size_t i = 0; i < suffix_len; ++i) {
-    cum[i + 1] = cum[i] + suffix_rows[i].count;
-  }
 
   const std::uint64_t wmask =
       wbits == 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << wbits) - 1;

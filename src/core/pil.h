@@ -13,7 +13,14 @@ namespace pgm {
 
 /// One entry of a partial index list: there are exactly `count` offset
 /// sequences of the pattern whose first offset is `pos` (0-based).
-struct PilEntry {
+///
+/// Packed to its 12 data bytes (4-byte aligned, so `count` sits at offset 4)
+/// instead of the 16 a naturally aligned layout pads it to: the level join
+/// is bound by the PIL rows it streams, and every arena, ledger charge and
+/// budget is counted in rows of this size. x86 loads an unaligned `count`
+/// at full speed. Never take `&entry.count` (a misaligned uint64_t*; the
+/// analyze preset's -Waddress-of-packed-member rejects it).
+struct __attribute__((packed, aligned(4))) PilEntry {
   std::uint32_t pos;
   std::uint64_t count;
 
@@ -21,6 +28,10 @@ struct PilEntry {
     return pos == other.pos && count == other.count;
   }
 };
+
+static_assert(sizeof(PilEntry) == 12 && alignof(PilEntry) == 4,
+              "PilEntry must stay 12 packed bytes: every PIL byte figure "
+              "(ledger, budgets, pil_bytes metrics) counts rows of this size");
 
 // `pos` is 32 bits, so a PIL can only index sequences whose last position
 // fits in it. Sequence construction and ValidateConfig reject anything

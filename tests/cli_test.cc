@@ -1015,6 +1015,55 @@ TEST(CliCorpusTest, RejectsUnknownAlgorithmBeforeLoading) {
       << corpus.err;
 }
 
+// Uncapped enumeration visits every |alphabet|^l candidate up to its
+// horizon; each surface refuses it before loading anything (the inputs
+// below do not exist, so a load would exit 3 instead), and a capped run
+// goes through.
+TEST(CliEnumCapTest, MineRefusesEnumWithoutMaxLengthBeforeLoading) {
+  const CliRun mine = RunCli(
+      "pgm mine --input fasta:/nonexistent-dir-xyz/missing.fa --algorithm "
+      "enum --min-gap 1 --max-gap 3 --rho-percent 0.5 --start-length 2");
+  EXPECT_USAGE_ERROR(mine);
+  EXPECT_NE(mine.err.find("InvalidArgument"), std::string::npos) << mine.err;
+  EXPECT_NE(mine.err.find("algorithm enum requires max-length"),
+            std::string::npos)
+      << mine.err;
+  const CliRun capped = RunCli(
+      "pgm mine --input raw:AACCGGTTAACCGGTTAACCGGTT --algorithm enum "
+      "--min-gap 0 --max-gap 2 --rho-percent 2 --start-length 1 "
+      "--max-length 3");
+  EXPECT_SUCCESS(capped);
+}
+
+TEST(CliEnumCapTest, CorpusRefusesEnumWithoutMaxLengthBeforeLoading) {
+  const CliRun corpus = RunCli(
+      "pgm corpus --input fasta:/nonexistent-dir-xyz/missing.fa "
+      "--fragment-length 12 --algorithm enum");
+  EXPECT_USAGE_ERROR(corpus);
+  EXPECT_NE(corpus.err.find("algorithm enum requires max-length"),
+            std::string::npos)
+      << corpus.err;
+}
+
+TEST(CliEnumCapTest, ServeFailsOnlyTheUncappedEnumJob) {
+  const std::string jobs = WriteJobsFile(
+      "serve_enum.jobs",
+      "raw:ACGTACGTACGTACGT rho-percent=50 max-gap=1\n"
+      "fasta:/nonexistent-dir-xyz/missing.fa algorithm=enum rho-percent=50\n"
+      "raw:ACGTACGTACGTACGT algorithm=enum rho-percent=50 max-gap=1 "
+      "max-length=3\n");
+  const CliRun serve = RunCli("pgm serve --jobs " + jobs);
+  std::remove(jobs.c_str());
+  EXPECT_SUCCESS(serve);
+  EXPECT_NE(serve.out.find("job 2 fasta:/nonexistent-dir-xyz/missing.fa "
+                           "enum: InvalidArgument: algorithm enum requires "
+                           "max-length"),
+            std::string::npos)
+      << serve.out;
+  EXPECT_NE(serve.out.find("2 completed"), std::string::npos) << serve.out;
+  EXPECT_NE(serve.out.find("1 failed"), std::string::npos) << serve.out;
+}
+
 TEST(CliOptionTableTest, EmTakesTheGapAndOrderOptions) {
   EXPECT_SUCCESS(RunCli("pgm em --input raw:ACGTCCGT --min-gap 1 --max-gap 2 "
                         "--m 2"));

@@ -6,9 +6,10 @@
 // kernel's boundary cases (W = 1, 63, 64, and a 65 that must fall back to
 // scalar) and the PIL shapes force every internal path: dense spans (bitmap
 // fast path), sparse spans (density-guard fallback), saturated and
-// near-clamp counts (exactness-guard fallback), and empty lists. An exhaustive small-case
-// sweep and the ResolveKernel dispatch rules round out the suite. Runs
-// under both sanitizer presets via the robustness/concurrency labels.
+// near-clamp counts (exactness fallback), and empty lists. An exhaustive
+// small-case sweep, the exactness boundary at the support clamp and the
+// ResolveKernel dispatch rules round out the suite. Runs under both
+// sanitizer presets via the robustness/concurrency labels.
 
 #include "core/kernel.h"
 
@@ -70,9 +71,9 @@ std::vector<PilEntry> RandomPil(Rng& rng, PilShape shape) {
     std::uint64_t count = 0;
     switch (shape) {
       case PilShape::kHugeCounts:
-        // A handful of these sum past kSaturatedCount, tripping the
-        // exactness guard (the bitset kernel's uint64 prefix sums would
-        // clamp differently than the oracle's 128-bit window).
+        // A handful of these sum past kSaturatedCount, so the bitset
+        // kernel refuses the pair (its uint64 prefix sums would clamp
+        // differently than the oracle's 128-bit window).
         count = std::uint64_t{1} << (40 + rng.UniformInt(23));
         break;
       case PilShape::kSaturated:
@@ -212,6 +213,69 @@ TEST(KernelOracleSweep, ExhaustiveSmallCasesMatchOracleAcrossTiers) {
           if (testing::Test::HasFatalFailure()) return;
         }
       }
+    }
+  }
+}
+
+// The exactness boundary the bitset kernel decides in its suffix pass: a
+// suffix whose counts sum to 2^64 - 2 is exact and takes the bitset path;
+// 2^64 - 1 (the clamp), a sum that overflows only at its last row, and a
+// kSaturatedCount row first, last or alone are refused (kPairNotExact) and
+// reproduced by CombinePrefixGroup. Every case matches the oracle under
+// both tiers.
+TEST(KernelOracleBoundary, SuffixMassAtTheClampMatchesOracle) {
+  constexpr std::uint64_t kQuarter = std::uint64_t{1} << 62;
+  struct Case {
+    const char* name;
+    std::vector<std::uint64_t> counts;
+    bool exact;
+  };
+  const std::vector<Case> cases = {
+      {"sum 2^64-2", {kQuarter, kQuarter, kQuarter, kQuarter - 2}, true},
+      {"sum 2^64-1", {kQuarter, kQuarter, kQuarter, kQuarter - 1}, false},
+      {"overflow at the last row", {kQuarter, kQuarter, kQuarter, kQuarter},
+       false},
+      {"saturated first", {kSaturatedCount, 1, 2, 3}, false},
+      {"saturated last", {1, 2, 3, kSaturatedCount}, false},
+      {"saturated alone", {kSaturatedCount}, false},
+  };
+  // W = 4: prefix row x's window is [x + 1, x + 4], so the windows of
+  // prefix rows 0..3 slide over the suffix rows at 1..4 (row 0 sees all of
+  // them), and rows 4..7 see fewer.
+  const GapRequirement gap = *GapRequirement::Create(0, 3);
+  std::vector<PilEntry> prefix;
+  for (std::uint32_t pos = 0; pos < 8; ++pos) prefix.push_back({pos, 1});
+  KernelScratch scratch;
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    std::vector<PilEntry> suffix;
+    for (std::size_t i = 0; i < c.counts.size(); ++i) {
+      suffix.push_back({static_cast<std::uint32_t>(i + 1), c.counts[i]});
+    }
+    for (KernelTier tier : {KernelTier::kAuto, KernelTier::kScalar}) {
+      CheckGroupAgainstOracle(prefix, {suffix}, gap, ResolveKernel(tier, gap),
+                              scratch);
+    }
+    if (!Avx2Available()) continue;
+    // The bitset kernel itself: refuses exactly the inexact sums, and
+    // writes no output row when it does.
+    const std::uint64_t shift = 1;
+    const std::uint64_t wbits = 4;
+    const std::uint64_t base = 0;
+    const std::uint64_t words =
+        ((prefix.back().pos + shift + wbits - 1) >> 6) + 1;
+    std::vector<std::uint64_t> bitmap(words + 1);
+    std::vector<std::uint64_t> rank(words + 1);
+    std::vector<std::uint64_t> cum(suffix.size() + 1);
+    std::vector<PilEntry> out(prefix.size(), PilEntry{0, 0});
+    unsigned __int128 support_sum = 0;
+    const std::size_t len = internal::Avx2PairKernel()(
+        prefix.data(), prefix.size(), suffix.data(), suffix.size(), shift,
+        wbits, base, words, bitmap.data(), rank.data(), cum.data(),
+        out.data(), &support_sum);
+    EXPECT_EQ(len != internal::kPairNotExact, c.exact);
+    if (!c.exact) {
+      EXPECT_EQ(out, std::vector<PilEntry>(prefix.size(), PilEntry{0, 0}));
     }
   }
 }

@@ -12,6 +12,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <map>
 #include <string>
 #include <thread>
 #include <vector>
@@ -177,6 +178,108 @@ TEST(ParallelMiningTest, ExecutorMergesInCandidateOrder) {
   const auto parallel = evaluate(4);
   ASSERT_FALSE(serial.empty());
   EXPECT_EQ(serial, parallel);
+}
+
+// JoinPlan::SelfJoin's group-major order, checked against a brute-force
+// grouping of `level` by (len-1)-prefix: the tasks of one rights group are
+// contiguous, groups come in the first-appearance order of their prefix,
+// lefts ascend within a group, every left whose suffix is some entry's
+// prefix appears exactly once (with exactly that group as its rights), and
+// the plan is the same whether or not an executor ran the probes.
+void ExpectGroupMajorPlan(const std::vector<internal::ArenaEntry>& level) {
+  const std::size_t len = level.front().symbols.size();
+  std::vector<std::string> prefix_order;
+  std::map<std::string, std::vector<std::uint32_t>> group_of;
+  for (std::uint32_t i = 0; i < level.size(); ++i) {
+    const std::string prefix = level[i].symbols.substr(0, len - 1);
+    if (group_of.find(prefix) == group_of.end()) {
+      prefix_order.push_back(prefix);
+    }
+    group_of[prefix].push_back(i);
+  }
+  std::vector<std::uint32_t> matching_lefts;
+  for (std::uint32_t i = 0; i < level.size(); ++i) {
+    if (group_of.count(level[i].symbols.substr(1)) > 0) {
+      matching_lefts.push_back(i);
+    }
+  }
+
+  const internal::JoinPlan plan = internal::JoinPlan::SelfJoin(level);
+  const std::vector<std::uint32_t>& pool = plan.rights_pool();
+  std::vector<std::uint32_t> planned_lefts;
+  std::uint64_t candidates = 0;
+  std::size_t previous_rank = 0;
+  for (std::size_t t = 0; t < plan.tasks().size(); ++t) {
+    const internal::JoinTask& task = plan.tasks()[t];
+    SCOPED_TRACE("task " + std::to_string(t));
+    const std::string key = level[task.left].symbols.substr(1);
+    ASSERT_EQ(group_of.count(key), 1u) << "planned left matches no group";
+    EXPECT_EQ(std::vector<std::uint32_t>(pool.begin() + task.rights_begin,
+                                         pool.begin() + task.rights_end),
+              group_of[key]);
+    const std::size_t rank = static_cast<std::size_t>(
+        std::find(prefix_order.begin(), prefix_order.end(), key) -
+        prefix_order.begin());
+    if (t > 0) {
+      const internal::JoinTask& previous = plan.tasks()[t - 1];
+      if (rank == previous_rank) {
+        EXPECT_LT(previous.left, task.left) << "lefts ascend within a group";
+      } else {
+        EXPECT_LT(previous_rank, rank)
+            << "a group's tasks are contiguous and groups come in "
+               "first-appearance order";
+      }
+    }
+    previous_rank = rank;
+    planned_lefts.push_back(task.left);
+    candidates += task.group_size();
+  }
+  std::sort(planned_lefts.begin(), planned_lefts.end());
+  EXPECT_EQ(planned_lefts, matching_lefts)
+      << "every matching left is planned exactly once";
+  EXPECT_EQ(plan.num_candidates(), candidates);
+
+  internal::ParallelLevelExecutor executor(4);
+  const internal::JoinPlan probed =
+      internal::JoinPlan::SelfJoin(level, &executor);
+  ASSERT_EQ(probed.tasks().size(), plan.tasks().size());
+  for (std::size_t t = 0; t < plan.tasks().size(); ++t) {
+    EXPECT_EQ(probed.tasks()[t].left, plan.tasks()[t].left);
+    EXPECT_EQ(probed.tasks()[t].rights_begin, plan.tasks()[t].rights_begin);
+    EXPECT_EQ(probed.tasks()[t].rights_end, plan.tasks()[t].rights_end);
+  }
+  EXPECT_EQ(probed.rights_pool(), pool);
+  EXPECT_EQ(probed.num_candidates(), plan.num_candidates());
+}
+
+TEST(JoinPlanTest, SelfJoinIsGroupMajor) {
+  // A sparse level (30 bp, length 3: some lefts match no group) and a dense
+  // one large enough that the executor splits the probes.
+  GapRequirement gap = *GapRequirement::Create(0, 1);
+  Rng rng(31337);
+  Sequence small = *UniformRandomSequence(30, Alphabet::Dna(), rng);
+  internal::BuiltLevel sparse =
+      internal::BuildAllPatternsOfLength(small, gap, 3);
+  ASSERT_FALSE(sparse.entries.empty());
+  {
+    SCOPED_TRACE("sparse level");
+    ExpectGroupMajorPlan(sparse.entries);
+  }
+  // On this level group-major differs from plain left order, so the order
+  // checks above have something to catch.
+  const internal::JoinPlan plan = internal::JoinPlan::SelfJoin(sparse.entries);
+  bool left_major = true;
+  for (std::size_t t = 1; t < plan.tasks().size(); ++t) {
+    if (plan.tasks()[t - 1].left > plan.tasks()[t].left) left_major = false;
+  }
+  EXPECT_FALSE(left_major);
+
+  Sequence large = *UniformRandomSequence(3000, Alphabet::Dna(), rng);
+  internal::BuiltLevel dense =
+      internal::BuildAllPatternsOfLength(large, gap, 6);
+  ASSERT_GT(dense.entries.size(), 2048u);
+  SCOPED_TRACE("dense level");
+  ExpectGroupMajorPlan(dense.entries);
 }
 
 TEST(ParallelMiningTest, LedgerDrainsToZeroAfterCompletedRun) {
