@@ -50,6 +50,13 @@ Status CheckAlgorithm(std::string_view algorithm) {
                                  AlgorithmNames() + ")");
 }
 
+Status CheckLengthCap(std::string_view algorithm, const MinerConfig& config) {
+  if (algorithm != "enum" || config.max_length >= 0) return Status::OK();
+  return Status::InvalidArgument(
+      "algorithm enum requires max-length: it enumerates every |alphabet|^l "
+      "candidate up to its horizon, so an uncapped run can exhaust memory");
+}
+
 StatusOr<MiningResult> Mine(std::string_view algorithm,
                             const Sequence& sequence,
                             const MinerConfig& config) {

@@ -205,6 +205,15 @@ std::string AlgorithmNames();
 /// OK when `algorithm` names a miner; InvalidArgument naming it otherwise.
 Status CheckAlgorithm(std::string_view algorithm);
 
+/// OK unless `algorithm` is "enum" with no length cap (max_length < 0);
+/// then InvalidArgument naming max-length. Uncapped, enumeration visits
+/// every |Σ|^l candidate up to its level-count horizon and, with the PIL
+/// budget unlimited by default, runs into the OOM killer instead of a
+/// budget trip. `pgm mine`, `pgm corpus` and each MiningService job check
+/// it before loading any input; MineEnumeration itself keeps
+/// max_length = -1 (the horizon) as its default.
+Status CheckLengthCap(std::string_view algorithm, const MinerConfig& config);
+
 /// Runs the miner `algorithm` names — "mpp" (MineMpp), "mppm" (MineMppm),
 /// "enum" (MineEnumeration) or "adaptive" (MineAdaptive) — or returns
 /// CheckAlgorithm's error. The one dispatcher behind `pgm mine`, the corpus

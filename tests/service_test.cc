@@ -217,6 +217,37 @@ TEST(ServiceTest, UnknownAlgorithmIsInvalidArgument) {
   EXPECT_EQ(responses[0].status.code(), StatusCode::kInvalidArgument);
 }
 
+TEST(ServiceTest, UncappedEnumFailsAloneBeforeLoading) {
+  ServiceConfig config = InlineLoaderConfig();
+  std::atomic<int> calls{0};
+  config.loader = [&calls](const std::string& input) -> StatusOr<Sequence> {
+    calls.fetch_add(1);
+    return Sequence::FromString(input, Alphabet::Dna());
+  };
+  MiningService service(config);
+  MiningJob uncapped = DnaJob();
+  uncapped.algorithm = "enum";
+  MiningJob capped = uncapped;
+  capped.config.max_length = 3;
+  ASSERT_TRUE(service.Submit(std::move(uncapped)).ok());
+  ASSERT_TRUE(service.Submit(std::move(capped)).ok());
+  service.Start();
+  std::vector<JobResponse> responses = service.Join();
+  ASSERT_EQ(responses.size(), 2u);
+  int refused = 0;
+  for (const JobResponse& response : responses) {
+    if (response.status.ok()) continue;
+    ++refused;
+    EXPECT_EQ(response.status.code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(response.status.message().find("max-length"),
+              std::string::npos)
+        << response.status.message();
+    EXPECT_EQ(response.load_attempts, 0);
+  }
+  EXPECT_EQ(refused, 1);
+  EXPECT_EQ(calls.load(), 1) << "the refused job must not load its input";
+}
+
 // --- Budget clamping and graceful degradation ---
 
 TEST(ServiceTest, ClampTable) {
