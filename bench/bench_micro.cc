@@ -14,7 +14,6 @@
 #include "core/miner.h"
 #include "core/offset_counter.h"
 #include "core/pil.h"
-#include "core/pil_arena.h"
 #include "core/verifier.h"
 #include "datagen/generators.h"
 #include "datagen/presets.h"
@@ -50,12 +49,13 @@ BENCHMARK(BM_PilCombine)->Arg(1000)->Arg(10'000)->Arg(100'000);
 
 // --- The level join's pair kernel, cache-resident. ---
 
-// CombinePrefixGroupKernel on dense 10 kb PILs: the 'A' PIL (~2,500 rows)
-// joined with the group of all four single-symbol PILs, at W = 4 and
-// W = 16 (min gap 9), under auto (the AVX2 bitset kernel where the CPU has
-// it) and scalar. Everything fits in L2, so this is the kernel's
-// arithmetic; the same kernel inside a level join also pays for streaming
-// PILs from memory. Items are prefix rows per pair.
+// CombinePair on dense 10 kb PILs: the 'A' PIL (~2,500 rows) joined with
+// each of the four single-symbol PILs in turn, at W = 4, W = 16 and W = 71
+// (min gap 9), under auto (the AVX2 bitset kernel where the CPU has it and
+// W <= 64; W = 71 is scalar under auto too) and scalar. Everything fits in
+// L2, so this is the kernel's arithmetic; the same kernel inside a level
+// join also pays for streaming PILs from memory. Items are prefix rows per
+// pair.
 void BM_PairKernel(benchmark::State& state) {
   const Sequence s = BenchSequence(10'000);
   const std::int64_t width = state.range(0);
@@ -69,20 +69,17 @@ void BM_PairKernel(benchmark::State& state) {
   for (Symbol symbol = 0; symbol < 4; ++symbol) {
     group.push_back(PartialIndexList::ForSymbol(s, symbol));
   }
-  std::vector<GroupSuffix> suffixes;
   std::vector<std::vector<PilEntry>> slices(group.size());
-  std::vector<GroupOutput> outputs(group.size());
-  for (std::size_t i = 0; i < group.size(); ++i) {
-    suffixes.push_back({group[i].entries().data(), group[i].size()});
-    slices[i].resize(prefix.size());
-    outputs[i].rows = slices[i].data();
-  }
+  for (std::vector<PilEntry>& slice : slices) slice.resize(prefix.size());
   KernelScratch scratch;
   for (auto _ : state) {
-    CombinePrefixGroupKernel(impl, prefix.entries().data(), prefix.size(),
-                             gap, suffixes.data(), outputs.data(),
-                             outputs.size(), scratch);
-    benchmark::DoNotOptimize(outputs.data());
+    for (std::size_t i = 0; i < group.size(); ++i) {
+      const PairResult result =
+          CombinePair(impl, prefix.entries(), group[i].entries(), gap,
+                      slices[i].data(), scratch);
+      benchmark::DoNotOptimize(result);
+      benchmark::DoNotOptimize(slices[i].data());
+    }
     benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(state.iterations() *
@@ -95,7 +92,8 @@ BENCHMARK(BM_PairKernel)
     ->Args({4, 0})
     ->Args({4, 1})
     ->Args({16, 0})
-    ->Args({16, 1});
+    ->Args({16, 1})
+    ->Args({71, 0});
 
 void BM_VerifierRecount(benchmark::State& state) {
   const std::size_t length = static_cast<std::size_t>(state.range(0));

@@ -5,7 +5,6 @@
 
 #include "datagen/presets.h"
 #include "seq/fragmenter.h"
-#include "util/logging.h"
 #include "util/random.h"
 
 namespace pgm::bench {
@@ -53,9 +52,10 @@ void MaybeWriteCsv(const HarnessOptions& options, const CsvWriter& csv) {
   if (options.csv_path.empty()) return;
   Status status = csv.WriteToFile(options.csv_path);
   if (status.ok()) {
-    PGM_LOG(kInfo) << "wrote CSV to " << options.csv_path;
+    std::fprintf(stderr, "wrote CSV to %s\n", options.csv_path.c_str());
   } else {
-    PGM_LOG(kError) << "failed to write CSV: " << status;
+    std::fprintf(stderr, "failed to write CSV: %s\n",
+                 status.ToString().c_str());
   }
 }
 
@@ -77,17 +77,18 @@ void MaybeAppendRunJson(const HarnessOptions& options, const std::string& label,
   line += "\n";
   std::FILE* f = std::fopen(options.metrics_json_path.c_str(), "ab");
   if (f == nullptr) {
-    PGM_LOG(kError) << "cannot open " << options.metrics_json_path;
+    std::fprintf(stderr, "cannot open %s\n",
+                 options.metrics_json_path.c_str());
     return;
   }
   const std::size_t written = std::fwrite(line.data(), 1, line.size(), f);
   if (std::fclose(f) != 0 || written != line.size()) {
-    PGM_LOG(kError) << "failed to append run JSON to "
-                    << options.metrics_json_path;
+    std::fprintf(stderr, "failed to append run JSON to %s\n",
+                 options.metrics_json_path.c_str());
     return;
   }
-  PGM_LOG(kInfo) << "appended run '" << label << "' to "
-                 << options.metrics_json_path;
+  std::fprintf(stderr, "appended run '%s' to %s\n", label.c_str(),
+               options.metrics_json_path.c_str());
 }
 
 void CheckOk(const Status& status) {

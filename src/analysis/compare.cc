@@ -107,13 +107,7 @@ std::vector<NamedPatternSet> PerRecordPatternSets(const CorpusResult& result) {
   // std::map iterates its keys in order, so each set comes out sorted by
   // (symbols); re-sort to the (length, symbols) order MiningResult uses.
   for (NamedPatternSet& set : sets) {
-    std::sort(set.patterns.begin(), set.patterns.end(),
-              [](const FrequentPattern& a, const FrequentPattern& b) {
-                if (a.pattern.length() != b.pattern.length()) {
-                  return a.pattern.length() < b.pattern.length();
-                }
-                return a.pattern.symbols() < b.pattern.symbols();
-              });
+    std::sort(set.patterns.begin(), set.patterns.end(), PatternOrderLess);
   }
   return sets;
 }

@@ -931,7 +931,7 @@ Status RunServe(const std::vector<std::string>& args, std::string* output,
   ServiceConfig service_config;
   service_config.queue_capacity = static_cast<std::size_t>(queue_capacity);
   service_config.workers = static_cast<std::size_t>(workers);
-  service_config.max_deadline_ms = max_deadline_ms;
+  service_config.default_limits.deadline_ms = max_deadline_ms;
   service_config.cache_capacity_bytes = static_cast<std::uint64_t>(cache_bytes);
   service_config.io_retry.max_attempts = static_cast<int>(retry_attempts);
   service_config.io_retry.base_delay_ms = retry_base_ms;

@@ -46,12 +46,11 @@ struct JoinTask {
 ///
 /// For the level-wise self-join, rights are grouped by their shared
 /// length-(l-1) prefix: every left pattern whose suffix equals that prefix
-/// joins against the *same* pool range, stored once per group. The executor
-/// exploits the grouping by scanning a left pattern's PIL once per group
-/// slice instead of once per candidate (core/pil_arena.h's
-/// CombinePrefixGroup), and the plan itself replaces the old per-candidate
-/// CandidateSpec vector — no per-candidate symbol strings are materialized
-/// at generation time at all.
+/// joins against the *same* pool range, stored once per group, so the plan
+/// holds no per-candidate record and no per-candidate symbol strings are
+/// materialized at generation time at all. The executor joins each
+/// candidate with one CombinePair call (core/kernel.h); the group-major
+/// task order keeps a group's suffix PILs in cache across its lefts.
 class JoinPlan {
  public:
   /// The level-wise join of `level` with itself: for every pair (P1, P2)

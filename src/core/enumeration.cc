@@ -3,7 +3,6 @@
 #include <utility>
 
 #include "core/miner.h"
-#include "util/saturating.h"
 #include "util/stopwatch.h"
 
 namespace pgm {
@@ -40,26 +39,15 @@ StatusOr<MiningResult> MineEnumeration(const Sequence& sequence,
           std::min(result.guaranteed_complete_up_to, last_completed_level);
     }
     std::sort(result.patterns.begin(), result.patterns.end(),
-              [](const FrequentPattern& a, const FrequentPattern& b) {
-                if (a.pattern.length() != b.pattern.length()) {
-                  return a.pattern.length() < b.pattern.length();
-                }
-                return a.pattern.symbols() < b.pattern.symbols();
-              });
+              PatternOrderLess);
     ctx.Finish(&result);
     result.total_seconds = result.mining_seconds = watch.ElapsedSeconds();
   };
 
   const long double rho = config.min_support_ratio;
-  const std::size_t alphabet_size = sequence.alphabet().size();
-
-  // |Σ|^length, saturating (the analytic candidate count per level).
-  auto analytic_candidates = [&](std::int64_t length) -> std::uint64_t {
-    std::uint64_t value = 1;
-    for (std::int64_t i = 0; i < length; ++i) {
-      value = SatMul(value, static_cast<std::uint64_t>(alphabet_size));
-    }
-    return value;
+  auto analytic_candidates = [&](std::int64_t length) {
+    return internal::AnalyticCandidateCount(sequence.alphabet().size(),
+                                            length);
   };
 
   std::int64_t level_length = config.start_length;

@@ -3,11 +3,12 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "core/gap.h"
-#include "core/pil_arena.h"
+#include "core/pil.h"
 
 namespace pgm {
 
@@ -47,45 +48,51 @@ bool Avx2Available();
 /// mask, so wider windows have no bit-parallel representation.
 KernelImpl ResolveKernel(KernelTier tier, const GapRequirement& gap);
 
-/// Reusable per-worker state for CombinePrefixGroupKernel: the scalar
-/// kernel's window states plus the bitset kernel's position bitmap, word
-/// ranks, and suffix-count prefix sums. Once warmed up to the largest pair
-/// seen, the join performs no allocation (the same contract
-/// GroupJoinScratch gives the scalar kernel).
+/// Reusable per-worker state for CombinePair: the bitset kernel's position
+/// bitmap, word ranks, and suffix-count prefix sums. Once warmed up to the
+/// largest pair seen, CombinePair performs no allocation.
 struct KernelScratch {
-  GroupJoinScratch scalar;
   std::vector<std::uint64_t> bitmap;
   std::vector<std::uint64_t> rank;
   std::vector<std::uint64_t> cum;
 };
 
-/// The dispatching join kernel: identical contract to CombinePrefixGroup
-/// (core/pil_arena.h), with `impl` selecting the implementation.
-/// kScalar delegates to CombinePrefixGroup verbatim. kAvx2 runs each
-/// (prefix, suffix) pair through the bitset kernel when the pair is exactly
-/// representable (W <= 64, dense-enough position span, and — decided by the
-/// bitset kernel in its one suffix pass — total suffix count below the
-/// clamp) and through CombinePrefixGroup otherwise — every path reproduces
-/// the oracle's rows and supports byte-for-byte, which the kernel test
-/// layer enforces rather than trusts. kAvx2 requires Avx2Available().
-void CombinePrefixGroupKernel(KernelImpl impl, const PilEntry* prefix_rows,
-                              std::size_t prefix_len,
-                              const GapRequirement& gap,
-                              const GroupSuffix* suffixes,
-                              GroupOutput* outputs, std::size_t group_size,
-                              KernelScratch& scratch);
+/// One candidate's join outcome: the rows CombinePair wrote and their
+/// support.
+struct PairResult {
+  std::size_t len = 0;
+  SupportInfo support;
+};
+
+/// The level join's kernel: writes PIL(P) for the candidate P with prefix
+/// PIL `prefix` and suffix PIL `suffix` to `out_rows`, which must hold at
+/// least prefix.size() rows (at most one row per prefix row), and returns
+/// the row count and sup(P). Rows and support are byte-identical to
+/// PartialIndexList::Combine followed by TotalSupport, the oracle the kernel
+/// test layer checks every path against.
+///
+/// kAvx2 runs the bitset kernel when the pair is exactly representable
+/// (W <= 64, a dense-enough position span, and, decided by the bitset kernel
+/// in its one suffix pass, a total suffix count below the clamp). Every
+/// other pair, and every pair under kScalar, runs one scalar sliding-window
+/// loop over the whole prefix. kAvx2 requires Avx2Available(). Per-pair
+/// setup is O(1) and allocation-free once `scratch` is warm.
+PairResult CombinePair(KernelImpl impl, std::span<const PilEntry> prefix,
+                       std::span<const PilEntry> suffix,
+                       const GapRequirement& gap, PilEntry* out_rows,
+                       KernelScratch& scratch);
 
 namespace internal {
 
 /// What a BitsetPairKernel returns for a pair whose suffix counts sum to
 /// kSaturatedCount or more (a saturated row is kSaturatedCount itself): its
 /// uint64 prefix sums could not reproduce WindowSum's clamping, so the pair
-/// goes to CombinePrefixGroup instead. No row count reaches it, since a
+/// goes to CombinePair's scalar loop instead. No row count reaches it, since a
 /// pair emits at most one row per prefix row.
 inline constexpr std::size_t kPairNotExact = ~std::size_t{0};
 
 /// The bitset pair kernel for one (prefix, suffix) pair that passed
-/// CombinePrefixGroupKernel's layout checks. Suffix positions are marked in
+/// CombinePair's layout checks. Suffix positions are marked in
 /// a bitmap of `words` 64-bit words starting at position `base` (a multiple
 /// of 64); prefix row x's window starts at bit x + `shift` - base and is
 /// `wbits` (1..64) bits wide. The caller sizes `bitmap` and `rank` to

@@ -34,6 +34,13 @@ const NamedMiner* FindMiner(std::string_view algorithm) {
 
 }  // namespace
 
+bool PatternOrderLess(const FrequentPattern& a, const FrequentPattern& b) {
+  if (a.pattern.length() != b.pattern.length()) {
+    return a.pattern.length() < b.pattern.length();
+  }
+  return a.pattern.symbols() < b.pattern.symbols();
+}
+
 std::string AlgorithmNames() {
   std::string names;
   for (const NamedMiner& miner : kMiners) {
@@ -93,6 +100,15 @@ Status ValidateConfig(const Sequence& sequence, const MinerConfig& config) {
         static_cast<long long>(config.threads)));
   }
   return Status::OK();
+}
+
+std::uint64_t AnalyticCandidateCount(std::size_t alphabet_size,
+                                     std::int64_t length) {
+  std::uint64_t count = 1;
+  for (std::int64_t i = 0; i < length; ++i) {
+    count = SatMul(count, static_cast<std::uint64_t>(alphabet_size));
+  }
+  return count;
 }
 
 BuiltLevel BuildAllPatternsOfLength(const Sequence& sequence,
@@ -244,18 +260,12 @@ StatusOr<MiningResult> RunLevelwise(const Sequence& sequence,
           std::min(result.guaranteed_complete_up_to, last_completed_level);
     }
     std::sort(result.patterns.begin(), result.patterns.end(),
-              [](const FrequentPattern& a, const FrequentPattern& b) {
-                if (a.pattern.length() != b.pattern.length()) {
-                  return a.pattern.length() < b.pattern.length();
-                }
-                return a.pattern.symbols() < b.pattern.symbols();
-              });
+              PatternOrderLess);
     ctx->Finish(&result);
   };
 
   const long double rho = config.min_support_ratio;
   const std::int64_t l2 = counter.l2();
-  const std::size_t alphabet_size = sequence.alphabet().size();
   std::int64_t level_length = config.start_length;
   if (level_length > l2) {  // no offset sequences at all
     finalize();
@@ -309,10 +319,6 @@ StatusOr<MiningResult> RunLevelwise(const Sequence& sequence,
   // before the build, so a trip during construction still reports the level
   // it was working on. A non-empty seed was built (and memory-charged) by
   // the caller against the same guard.
-  long double first_candidates = 1.0L;
-  for (std::int64_t i = 0; i < level_length; ++i) {
-    first_candidates *= static_cast<long double>(alphabet_size);
-  }
   {
     const long double n_l = counter.Count(level_length);
     const long double full_threshold = rho * n_l;
@@ -321,9 +327,7 @@ StatusOr<MiningResult> RunLevelwise(const Sequence& sequence,
     LevelStats stats;
     stats.length = level_length;
     stats.num_candidates =
-        first_candidates >= static_cast<long double>(kSaturatedCount)
-            ? kSaturatedCount
-            : static_cast<std::uint64_t>(first_candidates);
+        AnalyticCandidateCount(sequence.alphabet().size(), level_length);
     ctx->LevelStart(level_length, stats.num_candidates,
                     static_cast<double>(level_lambda(level_length)),
                     static_cast<double>(full_threshold),

@@ -125,9 +125,13 @@ struct LevelStats {
   std::uint64_t num_retained = 0;
 };
 
+/// The order of MiningResult::patterns and of every pattern list the
+/// library derives from one: by length, then by symbols.
+bool PatternOrderLess(const FrequentPattern& a, const FrequentPattern& b);
+
 /// The outcome of a mining run.
 struct MiningResult {
-  /// All frequent patterns, sorted by (length, symbols).
+  /// All frequent patterns, sorted by (length, symbols): PatternOrderLess.
   std::vector<FrequentPattern> patterns;
   /// One entry per processed level, in order.
   std::vector<LevelStats> level_stats;
@@ -229,6 +233,12 @@ namespace internal {
 
 /// Validates the shared configuration fields against the sequence.
 Status ValidateConfig(const Sequence& sequence, const MinerConfig& config);
+
+/// |Σ|^length, saturating at kSaturatedCount: the candidate count of a level
+/// that generates every pattern of its length (a level-wise run's first
+/// level, every enumeration level).
+std::uint64_t AnalyticCandidateCount(std::size_t alphabet_size,
+                                     std::int64_t length);
 
 /// Builds the arena-backed level of every length-k pattern with non-empty
 /// PIL. Used to seed the level-wise loop and by MPPm's n-estimation. When

@@ -2,7 +2,6 @@
 
 #include "core/em.h"
 #include "core/miner.h"
-#include "util/saturating.h"
 #include "util/stopwatch.h"
 
 namespace pgm {
@@ -65,10 +64,8 @@ StatusOr<MiningResult> MineMppm(const Sequence& sequence,
     // with its analytic |Σ|^s candidate count (n is not yet estimated, so
     // no λ relaxation applies) so the partial result reports the true
     // candidate total instead of zero.
-    std::uint64_t analytic = 1;
-    for (std::int64_t i = 0; i < s; ++i) {
-      analytic = SatMul(analytic, sequence.alphabet().size());
-    }
+    const std::uint64_t analytic =
+        internal::AnalyticCandidateCount(sequence.alphabet().size(), s);
     const double full_threshold = static_cast<double>(
         static_cast<long double>(config.min_support_ratio) * counter.Count(s));
     ctx.LevelStart(s, analytic, 1.0, full_threshold, full_threshold);

@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cassert>
+#include <span>
 
 #include "core/trace.h"
 #include "util/stopwatch.h"
@@ -18,14 +19,16 @@ namespace {
 
 /// Emits one shard-timing event when the enclosing ExecuteJoin call returns
 /// — RAII so every early return (sink error, guard trip) still records.
-/// Runs on the caller thread, after the pool has quiesced. `candidates`
-/// counts deliveries to the sink (not the plan's size), accumulated by the
+/// Runs on the caller thread, after the pool has quiesced. `level` is the
+/// length of the candidates the join builds. `candidates` counts
+/// deliveries to the sink (not the plan's size), accumulated by the
 /// merge as it goes, so tripped levels report the work that happened; the
 /// phase fields split the caller's wall-clock into the kernel fills it ran
 /// itself, its wait for the other workers at the end of each window's
 /// fill, and sink merging.
 struct ShardTimingScope {
   ObserverContext* ctx = nullptr;
+  std::int64_t level = 0;
   std::uint64_t candidates = 0;
   std::int64_t workers = 0;
   const char* kernel = "scalar";
@@ -36,19 +39,23 @@ struct ShardTimingScope {
 
   ~ShardTimingScope() {
     if (ctx != nullptr) {
-      ctx->ShardTiming(candidates, workers, kernel, watch.ElapsedSeconds(),
-                       fill_seconds, merge_seconds, stall_seconds);
+      ctx->ShardTiming(level, candidates, workers, kernel,
+                       watch.ElapsedSeconds(), fill_seconds, merge_seconds,
+                       stall_seconds);
     }
   }
 };
 
-/// Output rows one piece targets. A piece is one kernel call: candidates
-/// sharing a left pattern, each needing a left-PIL-length slice. Sizing by
-/// rows (not candidate count) keeps pieces comparable units of work when
-/// PIL lengths are skewed.
+/// Output rows one piece targets. A piece is the unit a worker claims off
+/// the cursor and charges with one TickN: candidates sharing a left
+/// pattern, each one CombinePair call writing a left-PIL-length slice.
+/// Sizing by rows (not candidate count) keeps pieces comparable units of
+/// work when PIL lengths are skewed.
 constexpr std::uint64_t kPieceRowsTarget = 2048;
-/// Cap on candidates per piece, so short-PIL groups still amortize one
-/// streaming pass over the left rows without unbounded kernel state.
+/// Cap on candidates per piece, so short-PIL groups still split into
+/// several claims. With kPieceRowsTarget it fixes the piece, block and
+/// window boundaries, and so every Reserve size and the PIL peak: change
+/// either and memory-trip prefixes and `memory_peak_bytes` move.
 constexpr std::uint64_t kMaxPieceCands = 64;
 /// Rows per block: windows end only on block boundaries.
 constexpr std::uint64_t kBlockRowsTarget = 16384;
@@ -58,8 +65,8 @@ constexpr std::uint64_t kBlockRowsTarget = 16384;
 /// points deterministic.
 constexpr std::uint64_t kWindowRowsTarget = 4 * kBlockRowsTarget;
 
-/// One kernel call's worth of candidates: a slice [begin, end) of one
-/// task's rights range.
+/// One claim's worth of candidates: a slice [begin, end) of one task's
+/// rights range.
 struct Piece {
   std::uint32_t task = 0;
   std::uint32_t begin = 0;
@@ -70,7 +77,7 @@ struct Piece {
   /// Assigned serially once the piece's window is reserved: the arena
   /// offset of the first candidate's output slice (candidate k's slice
   /// starts at out_offset + k * left_len) and the index of its first
-  /// candidate in the window's kernel outputs.
+  /// candidate in the window's pair results.
   std::uint64_t out_offset = 0;
   std::uint64_t out_index = 0;
   /// Set by the filling worker; stays false when the guard refused the
@@ -86,13 +93,6 @@ struct Window {
   std::size_t piece_end = 0;
   std::uint64_t rows = 0;
   std::uint64_t cands = 0;
-};
-
-/// Per-worker reusable buffers: once warmed up to the largest piece, the
-/// fill performs no allocation.
-struct WorkerScratch {
-  std::vector<GroupSuffix> suffixes;
-  KernelScratch kernel;
 };
 
 }  // namespace
@@ -120,13 +120,16 @@ Status ParallelLevelExecutor::ExecuteJoin(
   assert(out.scratch_open() &&
          "ExecuteJoin requires the caller's BeginScratch/EndScratch bracket");
   if (plan.empty()) return Status::OK();
-  ShardTimingScope timing;
-  timing.ctx = ctx_;
-  timing.workers = static_cast<std::int64_t>(num_threads());
-  timing.kernel = KernelImplToString(kernel);
-
   const std::vector<JoinTask>& tasks = plan.tasks();
   const std::vector<std::uint32_t>& pool = plan.rights_pool();
+  ShardTimingScope timing;
+  timing.ctx = ctx_;
+  // Every candidate is one left symbol followed by a right pattern, and all
+  // rights of a level have one length.
+  timing.level = static_cast<std::int64_t>(
+      right_entries[pool.front()].symbols.size() + 1);
+  timing.workers = static_cast<std::int64_t>(num_threads());
+  timing.kernel = KernelImplToString(kernel);
 
   // --- Prepass (serial): slice the plan into row-sized pieces and cut them
   // into windows of whole row-sized blocks. Depends only on the plan, never
@@ -172,10 +175,12 @@ Status ParallelLevelExecutor::ExecuteJoin(
     }
   }
 
-  std::vector<WorkerScratch> scratch(num_threads());
-  // The current window's per-candidate kernel outputs, indexed by
+  // One kernel scratch per worker: once warmed up to the largest pair, the
+  // fill performs no allocation.
+  std::vector<KernelScratch> scratch(num_threads());
+  // The current window's per-candidate pair results, indexed by
   // Piece::out_index (+ the candidate's position in its piece).
-  std::vector<GroupOutput> outputs;
+  std::vector<PairResult> results;
   PilEntry* base = nullptr;  // `out`'s rows; stable within a window
   Status sink_status = Status::OK();
   Stopwatch phase;
@@ -190,7 +195,7 @@ Status ParallelLevelExecutor::ExecuteJoin(
     double caller_seconds = 0.0;
     phase.Reset();
     pool_.Execute([&](std::size_t worker) {
-      WorkerScratch& ws = scratch[worker];
+      KernelScratch& ks = scratch[worker];
       while (true) {
         const std::size_t p = cursor.fetch_add(1, std::memory_order_relaxed);
         if (p >= last) break;
@@ -198,20 +203,15 @@ Status ParallelLevelExecutor::ExecuteJoin(
         const std::uint32_t count = piece.end - piece.begin;
         if (guard != nullptr && !guard->TickN(count)) continue;
         const JoinTask& task = tasks[piece.task];
-        if (ws.suffixes.size() < count) ws.suffixes.resize(count);
-        GroupOutput* slots = outputs.data() + piece.out_index;
+        const std::span<const PilEntry> prefix(
+            left_arena.Rows(left_entries[task.left].span), piece.left_len);
         for (std::uint32_t k = 0; k < count; ++k) {
-          const ArenaEntry& right =
-              right_entries[pool[task.rights_begin + piece.begin + k]];
-          ws.suffixes[k] =
-              GroupSuffix{right_arena.Rows(right.span), right.span.len};
-          slots[k] = GroupOutput{base + piece.out_offset + k * piece.left_len,
-                                 0, {}};
+          const PilSpan& right =
+              right_entries[pool[task.rights_begin + piece.begin + k]].span;
+          results[piece.out_index + k] = CombinePair(
+              kernel, prefix, {right_arena.Rows(right), right.len}, gap,
+              base + piece.out_offset + k * piece.left_len, ks);
         }
-        CombinePrefixGroupKernel(kernel,
-                                 left_arena.Rows(left_entries[task.left].span),
-                                 piece.left_len, gap, ws.suffixes.data(),
-                                 slots, count, ws.kernel);
         piece.filled = true;
       }
       if (worker == 0) caller_seconds = phase.ElapsedSeconds();
@@ -230,13 +230,13 @@ Status ParallelLevelExecutor::ExecuteJoin(
       if (!piece.filled) continue;
       const JoinTask& task = tasks[piece.task];
       for (std::uint32_t k = 0; k < piece.end - piece.begin; ++k) {
-        const GroupOutput& slot = outputs[piece.out_index + k];
+        const PairResult& result = results[piece.out_index + k];
         JoinedCandidate candidate;
         candidate.left = task.left;
         candidate.right = pool[task.rights_begin + piece.begin + k];
         candidate.span =
-            PilSpan{piece.out_offset + k * piece.left_len, slot.len};
-        candidate.support = slot.support;
+            PilSpan{piece.out_offset + k * piece.left_len, result.len};
+        candidate.support = result.support;
         sink_status = sink(candidate);
         if (!sink_status.ok()) break;
         ++timing.candidates;
@@ -255,8 +255,8 @@ Status ParallelLevelExecutor::ExecuteJoin(
       // so the prefix is exact and identical at every thread count.
       break;
     }
-    if (outputs.size() < window.cands) {
-      outputs.resize(static_cast<std::size_t>(window.cands));
+    if (results.size() < window.cands) {
+      results.resize(static_cast<std::size_t>(window.cands));
     }
     std::uint64_t out_index = 0;
     for (std::size_t p = window.piece_begin; p < window.piece_end; ++p) {

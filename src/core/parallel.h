@@ -43,8 +43,9 @@ using JoinSink = std::function<Status(const JoinedCandidate&)>;
 ///
 /// A serial prepass slices the plan into "pieces": slices of one task's
 /// rights range sized by output rows (left-PIL length x candidates,
-/// targeting kPieceRowsTarget), each one call of the prefix-group kernel
-/// (core/kernel.h). Consecutive pieces form row-sized "blocks"
+/// targeting kPieceRowsTarget). A piece is the unit a worker claims and
+/// charges with one TickN; the worker fills it with one CombinePair call
+/// (core/kernel.h) per candidate. Consecutive pieces form row-sized "blocks"
 /// (kBlockRowsTarget), and consecutive blocks form "windows" of at least
 /// kWindowRowsTarget rows, so a skewed prefix group costs proportionally
 /// many pieces instead of straggling inside one. Slicing depends only on

@@ -68,8 +68,8 @@ namespace internal {
 
 /// Sliding-window accumulator over suffix-PIL counts. Saturated entries are
 /// tracked separately so the running sum stays exact under removal. Shared
-/// by PartialIndexList::Combine and the arena group-join kernel
-/// (core/pil_arena.h) — one definition, identical arithmetic.
+/// by PartialIndexList::Combine and CombinePair's scalar loop
+/// (core/kernel.cc) — one definition, identical arithmetic.
 class WindowSum {
  public:
   void Add(std::uint64_t count) {

@@ -4,9 +4,7 @@
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
-#include <vector>
 
-#include "core/gap.h"
 #include "core/guard.h"
 #include "core/pil.h"
 
@@ -192,58 +190,6 @@ class PilArena {
   std::uint64_t growths_ = 0;
   bool scratch_open_ = false;
 };
-
-/// One suffix input of a prefix-group join.
-struct GroupSuffix {
-  const PilEntry* rows = nullptr;
-  std::size_t len = 0;
-};
-
-/// One candidate's output slot: `rows` must point at a pre-reserved slice of
-/// at least the prefix length (Combine emits at most one row per prefix
-/// row). The kernel sets `len` and `support`.
-struct GroupOutput {
-  PilEntry* rows = nullptr;
-  std::size_t len = 0;
-  SupportInfo support;
-};
-
-/// Reusable per-worker state for CombinePrefixGroup, so the kernel performs
-/// no allocation once warmed up to the largest group it has seen.
-class GroupJoinScratch {
- public:
-  struct State {
-    std::size_t lo = 0;
-    std::size_t hi = 0;
-    internal::WindowSum window;
-    unsigned __int128 support_sum = 0;
-    bool support_saturated = false;
-  };
-
-  State* Prepare(std::size_t group_size) {
-    if (states_.size() < group_size) states_.resize(group_size);
-    for (std::size_t i = 0; i < group_size; ++i) states_[i] = State{};
-    return states_.data();
-  }
-
- private:
-  std::vector<State> states_;
-};
-
-/// The arena join kernel: combines one prefix PIL with every suffix PIL of
-/// its prefix group, writing each candidate's rows into its pre-reserved
-/// output slice. The prefix rows are streamed in cache-sized blocks, each
-/// block replayed per suffix with that suffix's window state held in
-/// registers (see the comment in the implementation). Arithmetic is
-/// identical to PartialIndexList::Combine followed by TotalSupport — same
-/// sliding window, same saturation handling — so row contents and supports
-/// are byte-identical to the per-candidate path; only the order in which
-/// (prefix row, suffix) pairs are visited changes, never the per-suffix
-/// sequence of window operations.
-void CombinePrefixGroup(const PilEntry* prefix_rows, std::size_t prefix_len,
-                        const GapRequirement& gap, const GroupSuffix* suffixes,
-                        GroupOutput* outputs, std::size_t group_size,
-                        GroupJoinScratch& scratch);
 
 }  // namespace pgm
 

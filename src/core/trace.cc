@@ -226,7 +226,6 @@ void ObserverContext::LevelStart(std::int64_t length, std::uint64_t candidates,
                                  double lambda, double full_threshold,
                                  double relaxed_threshold) {
   levels_.push_back(length);
-  current_level_ = length;
   run_metrics_.GetCounter("mine.levels.started")->Increment();
   run_metrics_.GetCounter("mine.candidates.generated")->Add(candidates);
   run_metrics_.GetCounter(LevelKey(length, "candidates"))->Add(candidates);
@@ -301,7 +300,8 @@ void ObserverContext::Estimate(std::uint64_t em,
   }
 }
 
-void ObserverContext::ShardTiming(std::uint64_t candidates,
+void ObserverContext::ShardTiming(std::int64_t level,
+                                  std::uint64_t candidates,
                                   std::int64_t workers, const char* kernel,
                                   double seconds, double fill_seconds,
                                   double merge_seconds,
@@ -309,7 +309,7 @@ void ObserverContext::ShardTiming(std::uint64_t candidates,
   if (trace_ == nullptr) return;
   TraceEvent event;
   event.kind = TraceEventKind::kShardTiming;
-  event.level = current_level_;
+  event.level = level;
   event.candidates = candidates;
   event.workers = workers;
   event.kernel_tier = kernel;

@@ -34,8 +34,9 @@ enum class TraceEventKind {
   kGuardTrip,
   /// MPPm's Theorem 2 phase: the e_m statistic and the estimated n.
   kEstimate,
-  /// One ParallelLevelExecutor::ExecuteJoin call: candidates delivered to
-  /// the sink, worker count, wall-clock seconds, and the calling thread's
+  /// One ParallelLevelExecutor::ExecuteJoin call: the length of the
+  /// candidates the join builds (`level`), candidates delivered to the
+  /// sink, worker count, wall-clock seconds, and the calling thread's
   /// fill/merge/stall split. Volatile (thread/timing dependent) — exported
   /// only with TraceJsonOptions::include_volatile.
   kShardTiming,
@@ -219,14 +220,18 @@ class ObserverContext {
   void Estimate(std::uint64_t em, std::uint64_t em_starts_searched,
                 std::int64_t estimated_n);
 
-  /// One executor join pass (trace-only; volatile). `candidates` counts
-  /// sink deliveries — not the plan size — so interrupted levels report the
-  /// work that actually happened; `kernel` names the resolved join-kernel
+  /// One executor join pass (trace-only; volatile). `level` is the length
+  /// of the candidates the pass builds — not the last level opened, since
+  /// MPPm's seed build joins before any level starts and enumeration
+  /// extends a level after closing it. `candidates` counts sink deliveries
+  /// — not the plan size — so interrupted levels report the work that
+  /// actually happened; `kernel` names the resolved join-kernel
   /// implementation the pass ran (KernelImplToString); the stage fields
   /// split the calling thread's time (see TraceEvent).
-  void ShardTiming(std::uint64_t candidates, std::int64_t workers,
-                   const char* kernel, double seconds, double fill_seconds,
-                   double merge_seconds, double stall_seconds);
+  void ShardTiming(std::int64_t level, std::uint64_t candidates,
+                   std::int64_t workers, const char* kernel, double seconds,
+                   double fill_seconds, double merge_seconds,
+                   double stall_seconds);
 
   /// Seals the run: derives result->level_stats and total_candidates from
   /// the run registry, records the run gauges and the kRunEnd event, and
@@ -243,7 +248,6 @@ class ObserverContext {
   Histogram* support_histogram_ = nullptr;   // null = histograms disabled
   Histogram* pil_bytes_histogram_ = nullptr;
   std::vector<std::int64_t> levels_;  // lengths, in LevelStart order
-  std::int64_t current_level_ = 0;
   bool finished_ = false;
 };
 

@@ -296,10 +296,7 @@ StatusOr<CorpusResult> MineCorpus(const CorpusPlan& plan,
   for (const auto& [symbols, entry] : pattern_union) entries.push_back(&entry);
   std::sort(entries.begin(), entries.end(),
             [](const UnionEntry* a, const UnionEntry* b) {
-              if (a->pattern.pattern.length() != b->pattern.pattern.length()) {
-                return a->pattern.pattern.length() < b->pattern.pattern.length();
-              }
-              return a->pattern.pattern.symbols() < b->pattern.pattern.symbols();
+              return PatternOrderLess(a->pattern, b->pattern);
             });
   for (const UnionEntry* entry : entries) {
     corpus.patterns.push_back(entry->pattern);

@@ -20,13 +20,6 @@ std::vector<std::uint64_t> LatencyBoundsUs() {
           500000,  1000000, 2500000, 5000000,  10000000, 30000000};
 }
 
-/// min over "-1 means absent" deadline ceilings.
-std::int64_t MinDeadlineCeiling(std::int64_t a, std::int64_t b) {
-  if (a < 0) return b;
-  if (b < 0) return a;
-  return std::min(a, b);
-}
-
 /// min over "0 means absent" budget ceilings: the client never gets more
 /// than the server ceiling, and "unlimited" requests get exactly it.
 std::uint64_t ClampBudget(std::uint64_t requested, std::uint64_t ceiling) {
@@ -172,8 +165,7 @@ std::vector<JobResponse> MiningService::Join() {
 
 ResourceLimits MiningService::ClampLimits(const ResourceLimits& requested) const {
   ResourceLimits effective = requested;
-  const std::int64_t ceiling = MinDeadlineCeiling(
-      config_.max_deadline_ms, config_.default_limits.deadline_ms);
+  const std::int64_t ceiling = config_.default_limits.deadline_ms;
   if (ceiling >= 0) {
     effective.deadline_ms = requested.deadline_ms < 0
                                 ? ceiling

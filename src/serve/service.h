@@ -35,12 +35,11 @@ struct ServiceConfig {
   /// Worker threads draining the queue (each runs whole jobs; mining-internal
   /// parallelism is the job's own config.threads).
   std::size_t workers = 1;
-  /// Server-side ceiling on any job's wall-clock deadline, in milliseconds;
-  /// -1 = no ceiling. Client deadlines are clamped down to this, never up.
-  std::int64_t max_deadline_ms = -1;
-  /// Server-side ceilings for the remaining budgets (0 fields = no ceiling).
-  /// A job asking for "unlimited" (0 / negative) gets the ceiling; a job
-  /// asking for more than the ceiling is clamped to it.
+  /// Server-side ceilings on every job's budgets (`pgm serve
+  /// --max-deadline-ms` sets deadline_ms). A job asking for "unlimited"
+  /// gets the ceiling; a job asking for more than the ceiling is clamped to
+  /// it, never up. deadline_ms = -1 means no deadline ceiling; a 0 budget
+  /// field means no ceiling on that budget.
   ResourceLimits default_limits;
   /// Result-cache budget in bytes; 0 disables caching.
   std::uint64_t cache_capacity_bytes = 0;

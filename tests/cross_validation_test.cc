@@ -133,7 +133,10 @@ INSTANTIATE_TEST_SUITE_P(
         SweepParam{"AB", 36, 4, 6, 0.03, 1012},
         SweepParam{"ABCDE", 48, 1, 2, 0.01, 1013},  // 5-letter alphabet
         SweepParam{"ACGT", 25, 0, 6, 0.05, 1014},   // gap wider than N
-        SweepParam{"ACGT", 90, 1, 1, 0.015, 1015}));  // rigid non-zero gap
+        SweepParam{"ACGT", 90, 1, 1, 0.015, 1015},  // rigid non-zero gap
+        // W = 70 > 64: no bit-parallel window, so kAuto joins every pair
+        // with the scalar kernel end to end.
+        SweepParam{"AB", 300, 2, 71, 0.05, 1016}));
 
 TEST(CrossValidationTest, PlantedRunInput) {
   // Dense planted structure (the hard case for pruning soundness: high

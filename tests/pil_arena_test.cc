@@ -4,10 +4,9 @@
 //   1. Property tests pinning the equivalence contract: an arena span must
 //      report exactly the SupportInfo that the heap-backed
 //      PartialIndexList::FromEntries / TotalSupport path reports for the
-//      same rows, and the CombinePrefixGroup kernel must emit exactly the
-//      rows and support of PartialIndexList::Combine per candidate —
-//      including saturating counts and positions at the
-//      kMaxSequenceLength boundary.
+//      same rows, including saturating counts and positions at the
+//      kMaxSequenceLength boundary. (The join kernel's equivalence with
+//      PartialIndexList::Combine is kernel_oracle_test's.)
 //   2. Arena mechanics: the watermark/scratch protocol (Promote
 //      compaction, TruncateToWatermark), capacity reuse across Clear()
 //      (the ping-pong path), move semantics, and the growth counter that
@@ -117,52 +116,6 @@ TEST(PilArenaSupportTest, SaturatedAndBoundaryRowsRoundTrip) {
   const PilSpan empty = arena.Allocate(0);
   EXPECT_EQ(arena.Support(empty).count, 0u);
   EXPECT_FALSE(arena.Support(empty).saturated);
-}
-
-TEST(PilArenaSupportTest, CombinePrefixGroupMatchesCombinePerCandidate) {
-  Rng rng(0xa11ce5);
-  GroupJoinScratch scratch;
-  for (int round = 0; round < 100; ++round) {
-    const std::int64_t min_gap = rng.UniformRange(0, 3);
-    const std::int64_t max_gap = min_gap + rng.UniformRange(0, 3);
-    const GapRequirement gap = *GapRequirement::Create(min_gap, max_gap);
-    const bool saturating = (round % 3) == 0;
-
-    const std::vector<PilEntry> prefix = RandomEntries(rng, 48, saturating);
-    const std::size_t group_size = 1 + rng.UniformInt(5);
-    std::vector<std::vector<PilEntry>> suffix_entries;
-    std::vector<GroupSuffix> suffixes;
-    for (std::size_t s = 0; s < group_size; ++s) {
-      suffix_entries.push_back(RandomEntries(rng, 48, saturating));
-      suffixes.push_back(
-          GroupSuffix{suffix_entries.back().data(), suffix_entries.back().size()});
-    }
-
-    // Combine emits at most one row per prefix row, so prefix.size() rows
-    // per candidate is the executor's reservation bound too.
-    std::vector<PilEntry> out_rows(group_size * prefix.size());
-    std::vector<GroupOutput> outputs(group_size);
-    for (std::size_t s = 0; s < group_size; ++s) {
-      outputs[s].rows = out_rows.data() + s * prefix.size();
-    }
-    CombinePrefixGroup(prefix.data(), prefix.size(), gap, suffixes.data(),
-                       outputs.data(), group_size, scratch);
-
-    const PartialIndexList prefix_pil = PartialIndexList::FromEntries(prefix);
-    for (std::size_t s = 0; s < group_size; ++s) {
-      const PartialIndexList expected = PartialIndexList::Combine(
-          prefix_pil, PartialIndexList::FromEntries(suffix_entries[s]), gap);
-      ASSERT_EQ(outputs[s].len, expected.size())
-          << "round " << round << " suffix " << s;
-      for (std::size_t i = 0; i < expected.size(); ++i) {
-        ASSERT_EQ(outputs[s].rows[i], expected.entries()[i])
-            << "round " << round << " suffix " << s << " row " << i;
-      }
-      const SupportInfo expected_support = expected.TotalSupport();
-      ASSERT_EQ(outputs[s].support.count, expected_support.count);
-      ASSERT_EQ(outputs[s].support.saturated, expected_support.saturated);
-    }
-  }
 }
 
 TEST(PilArenaMechanicsTest, PromoteCompactsScratchOntoWatermark) {

@@ -230,6 +230,55 @@ TEST(TraceTest, ObservedMiningRunIsWellFormed) {
   EXPECT_TRUE(saw_estimate) << "MPPm must record its Theorem 2 estimate";
 }
 
+// Every shard_timing event names the length of the candidates its join
+// builds: first the seed build's joins (lengths 2 .. start length; MPPm runs
+// them before any level opens, MPP inside its first level), then one join
+// per later level with candidates. Enumeration extends a level after
+// closing it, so each of its joins precedes the level_start of the length
+// it builds.
+TEST(TraceTest, ShardTimingNamesTheLengthItsJoinBuilds) {
+  Rng rng(11);
+  Sequence s = *UniformRandomSequence(200, Alphabet::Dna(), rng);
+  struct Run {
+    const char* algorithm;
+    std::int64_t start_length;
+    std::int64_t max_length;
+  };
+  for (const Run& run :
+       {Run{"mpp", 3, -1}, Run{"mppm", 3, -1}, Run{"enum", 2, 5}}) {
+    SCOPED_TRACE(run.algorithm);
+    MiningTrace trace;
+    MiningObserver observer;
+    observer.trace = &trace;
+    MinerConfig config;
+    config.min_gap = 1;
+    config.max_gap = 3;
+    config.min_support_ratio = 0.005;
+    config.start_length = run.start_length;
+    config.max_length = run.max_length;
+    config.em_order = 2;
+    config.observer = &observer;
+    ASSERT_TRUE(Mine(run.algorithm, s, config).ok());
+
+    std::vector<std::int64_t> expected;
+    for (std::int64_t length = 2; length <= run.start_length; ++length) {
+      expected.push_back(length);
+    }
+    std::vector<std::int64_t> joined;
+    for (const TraceEvent& event : trace.events()) {
+      if (event.kind == TraceEventKind::kShardTiming) {
+        joined.push_back(event.level);
+      } else if (event.kind == TraceEventKind::kLevelStart &&
+                 event.level > run.start_length && event.candidates > 0) {
+        expected.push_back(event.level);
+      }
+    }
+    ASSERT_GE(expected.size(), static_cast<std::size_t>(run.start_length))
+        << "the run must join past its first level";
+    EXPECT_EQ(joined, expected);
+  }
+}
+
 // The null observer records nothing and costs nothing observable.
 TEST(TraceTest, NullObserverProducesIdenticalResults) {
   Rng rng(9);
