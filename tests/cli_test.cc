@@ -639,6 +639,35 @@ TEST(CliServeTest, DeadlineCeilingYieldsPartialResponses) {
   EXPECT_NE(output.find("1 partial"), std::string::npos);
 }
 
+// --max-deadline-ms clamps a job's deadline down, never up: a job asking
+// for less than the ceiling keeps its own deadline.
+TEST(CliServeTest, JobDeadlineBelowTheCeilingApplies) {
+  const std::string jobs = WriteJobsFile(
+      "serve_job_deadline.jobs",
+      "raw:ACGTACGTACGGTTACACGTACGT rho-percent=50 deadline-ms=0\n");
+  std::string output;
+  const int code = RunFromString(
+      "pgm serve --jobs " + jobs + " --max-deadline-ms 60000", &output);
+  std::remove(jobs.c_str());
+  EXPECT_EQ(code, 0) << output;
+  EXPECT_NE(output.find("deadline patterns=0"), std::string::npos) << output;
+  EXPECT_NE(output.find("1 partial"), std::string::npos);
+}
+
+// --max-deadline-ms -1 is the default: no ceiling, so a job without a
+// deadline runs to completion.
+TEST(CliServeTest, NegativeMaxDeadlineMeansNoCeiling) {
+  const std::string jobs = WriteJobsFile(
+      "serve_no_ceiling.jobs", "raw:ACGTACGTACGGTTACACGTACGT rho-percent=50\n");
+  std::string output;
+  const int code = RunFromString(
+      "pgm serve --jobs " + jobs + " --max-deadline-ms -1", &output);
+  std::remove(jobs.c_str());
+  EXPECT_EQ(code, 0) << output;
+  EXPECT_NE(output.find("1 completed, 0 partial"), std::string::npos)
+      << output;
+}
+
 TEST(CliServeTest, RequiresJobsFlag) {
   std::string output, error;
   EXPECT_EQ(RunFromString("pgm serve", &output, &error), 2);

@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <iterator>
+#include <string_view>
+#include <vector>
 
 #include "core/miner.h"
 #include "core/offset_counter.h"
@@ -153,6 +155,55 @@ TEST(ModelPropertyTest, MinersAreDeterministic) {
   EXPECT_EQ(a.estimated_n, b.estimated_n);
   EXPECT_EQ(a.em, b.em);
   EXPECT_EQ(a.total_candidates, b.total_candidates);
+}
+
+// The result order: length first, then symbols in alphabet order; strict,
+// so a pattern is never ordered before itself.
+TEST(ModelPropertyTest, PatternOrderLessOrdersByLengthThenSymbols) {
+  auto frequent = [](std::string_view shorthand) {
+    FrequentPattern fp;
+    fp.pattern = *Pattern::Parse(shorthand, Alphabet::Dna());
+    return fp;
+  };
+  const std::vector<FrequentPattern> ordered = {
+      frequent("T"), frequent("AA"), frequent("AC"), frequent("CA"),
+      frequent("TT"), frequent("AAA")};
+  for (std::size_t i = 0; i < ordered.size(); ++i) {
+    for (std::size_t j = 0; j < ordered.size(); ++j) {
+      EXPECT_EQ(PatternOrderLess(ordered[i], ordered[j]), i < j)
+          << ordered[i].pattern.ToShorthand() << " vs "
+          << ordered[j].pattern.ToShorthand();
+    }
+  }
+}
+
+// Every engine returns its patterns strictly increasing under
+// PatternOrderLess: sorted, with no pattern reported twice.
+TEST(ModelPropertyTest, EveryEngineReturnsPatternsInPatternOrder) {
+  Rng rng(9007);
+  Sequence s = *UniformRandomSequence(120, Alphabet::Dna(), rng);
+  MinerConfig config;
+  config.min_gap = 1;
+  config.max_gap = 3;
+  config.min_support_ratio = 0.01;
+  config.start_length = 1;
+  config.max_length = 6;
+  config.em_order = 2;
+  config.initial_n = 2;
+  for (const char* algorithm : {"mpp", "mppm", "enum", "adaptive"}) {
+    SCOPED_TRACE(algorithm);
+    MiningResult result = *Mine(algorithm, s, config);
+    ASSERT_GT(result.patterns.size(), 1u);
+    EXPECT_LT(result.patterns.front().pattern.length(),
+              result.patterns.back().pattern.length())
+        << "the run must report more than one length";
+    for (std::size_t i = 1; i < result.patterns.size(); ++i) {
+      EXPECT_TRUE(
+          PatternOrderLess(result.patterns[i - 1], result.patterns[i]))
+          << result.patterns[i - 1].pattern.ToShorthand() << " before "
+          << result.patterns[i].pattern.ToShorthand();
+    }
+  }
 }
 
 // The gap-vector extension degenerates to the uniform model when every

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <string>
 
 #include "core/miner.h"
@@ -73,6 +74,57 @@ TEST(MinerSaturationTest, AdaptiveClampsSupport) {
   config.initial_n = 2;
   MiningResult result = *MineAdaptive(Homopolymer(300), config);
   ExpectSaturatesCleanly(result, "adaptive");
+}
+
+// |Σ|^l, the candidate count of a level that generates every pattern of its
+// length: exact up to the clamp, kSaturatedCount from the first power past
+// it on, never wrapped.
+TEST(MinerSaturationTest, AnalyticCandidateCountSaturatesAtTheClamp) {
+  using internal::AnalyticCandidateCount;
+  EXPECT_EQ(AnalyticCandidateCount(4, 0), 1u);
+  EXPECT_EQ(AnalyticCandidateCount(4, 1), 4u);
+  EXPECT_EQ(AnalyticCandidateCount(4, 31), std::uint64_t{1} << 62);
+  // 4^32 = 2^64 is one past the clamp.
+  EXPECT_EQ(AnalyticCandidateCount(4, 32), kSaturatedCount);
+  EXPECT_EQ(AnalyticCandidateCount(4, 200), kSaturatedCount);
+  EXPECT_EQ(AnalyticCandidateCount(2, 63), std::uint64_t{1} << 63);
+  EXPECT_EQ(AnalyticCandidateCount(2, 64), kSaturatedCount);
+  // 20^14 < 2^64 < 20^15 (the protein alphabet).
+  EXPECT_EQ(AnalyticCandidateCount(20, 14), 1638400000000000000ull);
+  EXPECT_EQ(AnalyticCandidateCount(20, 15), kSaturatedCount);
+  EXPECT_EQ(AnalyticCandidateCount(1, 1000), 1u);
+}
+
+// A run that opens at length 32 over DNA reports 4^32 = 2^64 first-level
+// candidates as kSaturatedCount in every engine, on a completed run and on
+// one whose first level trips the memory budget (MPPm's seed trip and
+// enumeration's first build record the level themselves).
+TEST(MinerSaturationTest, FirstLevelCandidateCountSaturatesInEveryEngine) {
+  MinerConfig config;
+  config.min_gap = 0;
+  config.max_gap = 0;
+  config.min_support_ratio = 0.5;
+  config.start_length = 32;
+  config.max_length = 33;
+  config.initial_n = 2;
+  const Sequence s = Homopolymer(40);
+  for (const char* algorithm : {"mpp", "mppm", "enum", "adaptive"}) {
+    SCOPED_TRACE(algorithm);
+    MinerConfig completed = config;
+    MiningResult result = *Mine(algorithm, s, completed);
+    EXPECT_TRUE(result.complete());
+    ASSERT_FALSE(result.level_stats.empty());
+    EXPECT_EQ(result.level_stats.front().length, 32);
+    EXPECT_EQ(result.level_stats.front().num_candidates, kSaturatedCount);
+
+    MinerConfig tripped = config;
+    tripped.limits.pil_memory_budget_bytes = 1;
+    result = *Mine(algorithm, s, tripped);
+    EXPECT_EQ(result.termination, TerminationReason::kMemoryBudget);
+    ASSERT_FALSE(result.level_stats.empty());
+    EXPECT_EQ(result.level_stats.front().length, 32);
+    EXPECT_EQ(result.level_stats.front().num_candidates, kSaturatedCount);
+  }
 }
 
 TEST(MinerSaturationTest, SaturatedFlagRoundsTripThroughLowerLevels) {
