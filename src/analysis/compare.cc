@@ -1,7 +1,5 @@
 #include "analysis/compare.h"
 
-#include <algorithm>
-#include <map>
 #include <set>
 #include <string>
 #include <utility>
@@ -70,46 +68,6 @@ double PatternSetJaccard(const std::vector<FrequentPattern>& a,
   }
   const std::size_t union_size = keys_a.size() + keys_b.size() - intersection;
   return static_cast<double>(intersection) / static_cast<double>(union_size);
-}
-
-std::vector<NamedPatternSet> PerRecordPatternSets(const CorpusResult& result) {
-  std::vector<NamedPatternSet> sets;
-  // Fragments arrive in plan-ordinal order, so a record's fragments are
-  // contiguous and record order is preserved by appending on index change.
-  std::map<std::string, FrequentPattern>* current = nullptr;
-  std::map<std::string, FrequentPattern> best;
-  std::size_t current_record = 0;
-  auto flush = [&] {
-    if (current == nullptr) return;
-    for (auto& [symbols, fp] : best) {
-      sets.back().patterns.push_back(std::move(fp));
-    }
-    best.clear();
-  };
-  for (const FragmentResult& fragment : result.fragments) {
-    if (current == nullptr || fragment.record_index != current_record) {
-      flush();
-      sets.push_back(NamedPatternSet{fragment.record_id, {}});
-      current_record = fragment.record_index;
-      current = &best;
-    }
-    if (!fragment.mined || !fragment.status.ok()) continue;
-    for (const FrequentPattern& fp : fragment.result.patterns) {
-      const std::vector<Symbol>& symbols = fp.pattern.symbols();
-      auto [it, inserted] =
-          best.emplace(std::string(symbols.begin(), symbols.end()), fp);
-      // Keep the best per-fragment support; ties keep the earliest
-      // fragment's entry, matching the corpus-wide union fold.
-      if (!inserted && fp.support > it->second.support) it->second = fp;
-    }
-  }
-  flush();
-  // std::map iterates its keys in order, so each set comes out sorted by
-  // (symbols); re-sort to the (length, symbols) order MiningResult uses.
-  for (NamedPatternSet& set : sets) {
-    std::sort(set.patterns.begin(), set.patterns.end(), PatternOrderLess);
-  }
-  return sets;
 }
 
 }  // namespace pgm

@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "core/miner.h"
-#include "corpus/executor.h"
 
 namespace pgm {
 
@@ -40,15 +39,6 @@ StatusOr<std::vector<SetComparison>> ComparePatternSets(
 /// (1.0 for two empty sets).
 double PatternSetJaccard(const std::vector<FrequentPattern>& a,
                          const std::vector<FrequentPattern>& b);
-
-/// Adapts a corpus run for cross-record comparison: one NamedPatternSet
-/// per source record (named by its record id, in record order), holding
-/// the union of that record's per-fragment frequent patterns with the best
-/// per-fragment support kept (the same Section 7 aggregation MineCorpus
-/// applies corpus-wide), sorted by (length, symbols). Records whose every
-/// fragment was skipped or failed yield an empty set rather than vanishing,
-/// so the comparison stays positional.
-std::vector<NamedPatternSet> PerRecordPatternSets(const CorpusResult& result);
 
 }  // namespace pgm
 

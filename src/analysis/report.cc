@@ -110,17 +110,7 @@ std::string PatternsToCsv(const MiningResult& result) {
 }
 
 Status SavePatternsCsv(const MiningResult& result, const std::string& path) {
-  CsvWriter csv(PatternsCsvHeader());
-  for (const FrequentPattern& fp : result.patterns) {
-    PGM_RETURN_IF_ERROR(csv.Row()
-                            .Add(fp.pattern.ToShorthand())
-                            .Add(static_cast<std::uint64_t>(fp.pattern.length()))
-                            .Add(fp.support)
-                            .Add(fp.support_ratio)
-                            .Add(fp.saturated ? "1" : "0")
-                            .Done());
-  }
-  return csv.WriteToFile(path);
+  return WriteStringToFile(path, PatternsToCsv(result));
 }
 
 StatusOr<std::vector<FrequentPattern>> ParsePatternsCsv(

@@ -19,14 +19,17 @@ struct ArenaEntry {
   PilSpan span;
 };
 
-/// One mining level in arena form: the entry table plus the arena that owns
-/// every entry's rows. The level-wise engines hand these across phases
-/// (seed build → n-estimation → mining) as a unit; destroying one returns
-/// the arena's whole charge to the guard, so there is no per-entry ledger
-/// bookkeeping to keep balanced on early exits.
+/// One mining level in arena form: the entry table, each entry's support,
+/// and the arena that owns every entry's rows. The level-wise engines hand
+/// these across phases (seed build → n-estimation → mining) as a unit;
+/// destroying one returns the arena's whole charge to the guard, so there
+/// is no per-entry ledger bookkeeping to keep balanced on early exits.
 struct BuiltLevel {
   PilArena arena;
   std::vector<ArenaEntry> entries;
+  /// sup of entries[i], counted where its rows were built: the row count at
+  /// length 1, the join kernel's sum above it.
+  std::vector<SupportInfo> supports;
 };
 
 /// One join task: the left pattern extended by every right pattern in

@@ -1,6 +1,4 @@
 #include <algorithm>
-#include <string>
-#include <utility>
 
 #include "core/miner.h"
 #include "util/stopwatch.h"
@@ -32,15 +30,7 @@ StatusOr<MiningResult> MineEnumeration(const Sequence& sequence,
 
   std::int64_t last_completed_level = 0;
   auto finalize = [&]() {
-    result.termination = guard.reason();
-    result.pil_memory_peak_bytes = guard.memory_peak_bytes();
-    if (!result.complete()) {
-      result.guaranteed_complete_up_to =
-          std::min(result.guaranteed_complete_up_to, last_completed_level);
-    }
-    std::sort(result.patterns.begin(), result.patterns.end(),
-              PatternOrderLess);
-    ctx.Finish(&result);
+    internal::SealRun(guard, last_completed_level, ctx, &result);
     result.total_seconds = result.mining_seconds = watch.ElapsedSeconds();
   };
 
@@ -84,7 +74,7 @@ StatusOr<MiningResult> MineEnumeration(const Sequence& sequence,
 
   internal::BuiltLevel level = internal::BuildAllPatternsOfLength(
       sequence, gap, level_length, &guard, &executor, kernel);
-  PilArena other(&guard);
+  PilArena spare(&guard);
   if (guard.stopped()) {
     ctx.GuardTrip(guard.reason(), level_length);
     ctx.LevelEnd(level_length, analytic_candidates(level_length), 0, 0, 0,
@@ -109,30 +99,20 @@ StatusOr<MiningResult> MineEnumeration(const Sequence& sequence,
     stats.num_candidates = analytic_candidates(level_length);
     std::uint64_t evaluated = 0;
     if (guard.ChargeLevelCandidates(stats.num_candidates)) {
-      for (const internal::ArenaEntry& entry : level.entries) {
+      for (std::size_t i = 0; i < level.entries.size(); ++i) {
         if (!guard.Tick()) {
           interrupted = true;
           break;
         }
         ++evaluated;
-        const SupportInfo support = level.arena.Support(entry.span);
+        const internal::ArenaEntry& entry = level.entries[i];
+        const SupportInfo& support = level.supports[i];
         ctx.ObserveCandidate(support.count, entry.span.bytes());
-        if (support.count == 0) continue;
-        const long double support_ld = static_cast<long double>(support.count);
-        if (support_ld >= full_threshold) {
+        // Every entry's PIL is non-empty, and the threshold is positive.
+        if (static_cast<long double>(support.count) >= full_threshold) {
           ++stats.num_frequent;
-          FrequentPattern fp;
-          std::vector<Symbol> symbols(entry.symbols.begin(),
-                                      entry.symbols.end());
-          PGM_ASSIGN_OR_RETURN(
-              fp.pattern,
-              Pattern::FromSymbols(std::move(symbols), sequence.alphabet()));
-          fp.support = support.count;
-          fp.saturated = support.saturated;
-          fp.support_ratio = static_cast<double>(support_ld / n_l);
-          result.patterns.push_back(std::move(fp));
-          result.longest_frequent_length =
-              std::max(result.longest_frequent_length, level_length);
+          PGM_RETURN_IF_ERROR(internal::RecordFrequent(
+              entry.symbols, support, n_l, sequence.alphabet(), &result));
         }
       }
     } else {
@@ -155,30 +135,8 @@ StatusOr<MiningResult> MineEnumeration(const Sequence& sequence,
     const internal::JoinPlan plan = internal::JoinPlan::CrossProduct(
         static_cast<std::uint32_t>(singles.entries.size()),
         static_cast<std::uint32_t>(level.entries.size()));
-    std::vector<internal::ArenaEntry> next;
-    auto sink = [&](const internal::JoinedCandidate& candidate) -> Status {
-      if (candidate.span.empty()) return Status::OK();
-      internal::ArenaEntry entry;
-      entry.symbols.reserve(
-          level.entries[candidate.right].symbols.size() + 1);
-      entry.symbols.push_back(
-          singles.entries[candidate.left].symbols.front());
-      entry.symbols.append(level.entries[candidate.right].symbols);
-      entry.span = other.Promote(candidate.span);
-      next.push_back(std::move(entry));
-      return Status::OK();
-    };
-    bool extension_interrupted = false;
-    other.BeginScratch();
-    const Status join_status = executor.ExecuteJoin(
-        singles.entries, singles.arena, level.entries, level.arena, plan, gap,
-        kernel, &guard, other, sink, &extension_interrupted);
-    other.EndScratch();
-    PGM_RETURN_IF_ERROR(join_status);
-    interrupted = extension_interrupted;
-    level.entries = std::move(next);
-    level.arena.Clear();
-    std::swap(level.arena, other);
+    interrupted = internal::ExtendLevel(singles, plan, gap, kernel, &guard,
+                                        executor, level, spare);
     if (interrupted) {
       // The trip happened while building the next level's PILs: record that
       // level as started-and-cut-short so the candidate totals stay true.

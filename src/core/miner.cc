@@ -1,7 +1,7 @@
 #include "core/miner.h"
 
 #include <algorithm>
-#include <optional>
+#include <cassert>
 #include <string>
 #include <utility>
 
@@ -39,6 +39,14 @@ bool PatternOrderLess(const FrequentPattern& a, const FrequentPattern& b) {
     return a.pattern.length() < b.pattern.length();
   }
   return a.pattern.symbols() < b.pattern.symbols();
+}
+
+std::uint64_t ApproxResultBytes(const MiningResult& result) {
+  std::uint64_t bytes = sizeof(MiningResult);
+  for (const FrequentPattern& fp : result.patterns) {
+    bytes += sizeof(FrequentPattern) + fp.pattern.length() * sizeof(Symbol);
+  }
+  return bytes + result.level_stats.size() * sizeof(LevelStats);
 }
 
 std::string AlgorithmNames() {
@@ -116,12 +124,9 @@ BuiltLevel BuildAllPatternsOfLength(const Sequence& sequence,
                                     MiningGuard* guard,
                                     ParallelLevelExecutor* executor,
                                     KernelImpl kernel) {
-  ParallelLevelExecutor serial_executor(1);
-  if (executor == nullptr) executor = &serial_executor;
-
   // Length-1 patterns: every position contributes exactly one row (to its
   // symbol's span), so one reservation of |S| rows covers the whole level.
-  BuiltLevel level{PilArena(guard), {}};
+  BuiltLevel level{PilArena(guard), {}, {}};
   if (!level.arena.Reserve(sequence.size())) {
     // The very first reservation tripped the memory budget. The guard has
     // latched, so skip the build: every caller checks guard->stopped() and
@@ -129,95 +134,106 @@ BuiltLevel BuildAllPatternsOfLength(const Sequence& sequence,
     level.arena.SealWatermark();
     return level;
   }
-  // Built in two parallel passes over position chunks: count per
-  // (chunk, symbol), serially prefix-sum the counts into per-chunk write
-  // cursors (symbol-major, chunks in position order inside each symbol),
-  // then fill the disjoint slices. The resulting layout — symbol-major,
-  // positions ascending — is byte-identical to a serial symbol-by-symbol
-  // append, and independent of the thread count by construction.
-  const std::size_t seq_len = sequence.size();
-  const std::size_t alphabet_size = sequence.alphabet().size();
-  constexpr std::size_t kBuildChunk = std::size_t{1} << 16;
-  const std::size_t num_chunks = (seq_len + kBuildChunk - 1) / kBuildChunk;
-  std::vector<std::uint64_t> cursors(num_chunks * alphabet_size, 0);
-  executor->ParallelFor(
-      num_chunks, 1, [&](std::size_t chunk_begin, std::size_t chunk_end) {
-        for (std::size_t c = chunk_begin; c < chunk_end; ++c) {
-          std::uint64_t* counts = cursors.data() + c * alphabet_size;
-          const std::size_t hi = std::min((c + 1) * kBuildChunk, seq_len);
-          for (std::size_t pos = c * kBuildChunk; pos < hi; ++pos) {
-            counts[sequence[pos]] += 1;
-          }
-        }
-      });
-  std::vector<std::uint64_t> base(alphabet_size + 1, 0);
-  {
-    std::uint64_t running = 0;
-    for (std::size_t s = 0; s < alphabet_size; ++s) {
-      base[s] = running;
-      for (std::size_t c = 0; c < num_chunks; ++c) {
-        const std::uint64_t count = cursors[c * alphabet_size + s];
-        cursors[c * alphabet_size + s] = running;
-        running += count;
-      }
-    }
-    base[alphabet_size] = running;  // == seq_len: every position has a symbol
+  // One counting sort: count each symbol's positions, turn the counts into
+  // write cursors, then place every position — symbol-major, positions
+  // ascending. A symbol's support is its row count.
+  std::vector<std::uint64_t> cursors(sequence.alphabet().size(), 0);
+  for (std::size_t pos = 0; pos < sequence.size(); ++pos) {
+    ++cursors[sequence[pos]];
   }
-  PilEntry* rows = level.arena.MutableRows(level.arena.Allocate(seq_len));
-  executor->ParallelFor(
-      num_chunks, 1, [&](std::size_t chunk_begin, std::size_t chunk_end) {
-        for (std::size_t c = chunk_begin; c < chunk_end; ++c) {
-          std::uint64_t* cursor = cursors.data() + c * alphabet_size;
-          const std::size_t hi = std::min((c + 1) * kBuildChunk, seq_len);
-          for (std::size_t pos = c * kBuildChunk; pos < hi; ++pos) {
-            rows[cursor[sequence[pos]]++] =
-                PilEntry{static_cast<std::uint32_t>(pos), 1};
-          }
-        }
-      });
-  for (std::size_t s = 0; s < alphabet_size; ++s) {
-    const std::uint64_t len = base[s + 1] - base[s];
+  std::uint64_t offset = 0;
+  for (std::size_t s = 0; s < cursors.size(); ++s) {
+    const std::uint64_t len = cursors[s];
+    cursors[s] = offset;
     if (len == 0) continue;
-    ArenaEntry entry;
-    entry.symbols.assign(1, static_cast<char>(static_cast<Symbol>(s)));
-    entry.span = PilSpan{base[s], len};
-    level.entries.push_back(std::move(entry));
+    level.entries.push_back(
+        ArenaEntry{std::string(1, static_cast<char>(s)), PilSpan{offset, len}});
+    level.supports.push_back(ClampSupport(len, /*saturated=*/false));
+    offset += len;
+  }
+  PilEntry* rows =
+      level.arena.MutableRows(level.arena.Allocate(sequence.size()));
+  for (std::size_t pos = 0; pos < sequence.size(); ++pos) {
+    rows[cursors[sequence[pos]]++] =
+        PilEntry{static_cast<std::uint32_t>(pos), 1};
   }
   level.arena.SealWatermark();
   if (guard != nullptr && guard->stopped()) return level;
 
-  // Longer levels: self-join into the other arena, then swap — the same
-  // ping-pong the mining loop uses, so a multi-level build touches exactly
-  // two arenas regardless of k.
-  PilArena other(guard);
+  // Longer levels: self-join, keeping every non-empty candidate.
+  ParallelLevelExecutor serial_executor(1);
+  if (executor == nullptr) executor = &serial_executor;
+  PilArena spare(guard);
   for (std::int64_t length = 2; length <= k; ++length) {
     const JoinPlan plan = JoinPlan::SelfJoin(level.entries, executor);
-    std::vector<ArenaEntry> next;
-    bool interrupted = false;
-    auto sink = [&](const JoinedCandidate& candidate) -> Status {
-      if (candidate.span.empty()) return Status::OK();
-      ArenaEntry entry;
-      entry.symbols.reserve(static_cast<std::size_t>(length));
-      entry.symbols.push_back(level.entries[candidate.left].symbols.front());
-      entry.symbols.append(level.entries[candidate.right].symbols);
-      entry.span = other.Promote(candidate.span);
-      next.push_back(std::move(entry));
-      return Status::OK();
-    };
-    other.BeginScratch();
-    // The sink cannot fail, so the status is always OK.
-    const Status status =
-        executor->ExecuteJoin(level.entries, level.arena, level.entries,
-                              level.arena, plan, gap, kernel, guard, other,
-                              sink, &interrupted);
-    other.EndScratch();
-    (void)status;  // the sink above cannot fail, so this is always OK
-    level.entries = std::move(next);
-    level.arena.Clear();
-    std::swap(level.arena, other);
-    if (interrupted) break;
+    if (ExtendLevel(level, plan, gap, kernel, guard, *executor, level,
+                    spare)) {
+      break;
+    }
   }
   return level;
+}
+
+bool ExtendLevel(const BuiltLevel& left, const JoinPlan& plan,
+                 const GapRequirement& gap, KernelImpl kernel,
+                 MiningGuard* guard, ParallelLevelExecutor& executor,
+                 BuiltLevel& level, PilArena& spare) {
+  std::vector<ArenaEntry> entries;
+  std::vector<SupportInfo> supports;
+  auto sink = [&](const JoinedCandidate& candidate) -> Status {
+    if (candidate.span.empty()) return Status::OK();
+    const std::string& right = level.entries[candidate.right].symbols;
+    ArenaEntry entry;
+    entry.symbols.reserve(right.size() + 1);
+    entry.symbols.push_back(left.entries[candidate.left].symbols.front());
+    entry.symbols.append(right);
+    entry.span = spare.Promote(candidate.span);
+    entries.push_back(std::move(entry));
+    supports.push_back(candidate.support);
+    return Status::OK();
+  };
+  bool interrupted = false;
+  spare.BeginScratch();
+  const Status status =
+      executor.ExecuteJoin(left.entries, left.arena, level.entries,
+                           level.arena, plan, gap, kernel, guard, spare, sink,
+                           &interrupted);
+  spare.EndScratch();
+  (void)status;  // the sink above cannot fail, so this is always OK
+  level.entries = std::move(entries);
+  level.supports = std::move(supports);
+  level.arena.Clear();
+  std::swap(level.arena, spare);
+  return interrupted;
+}
+
+Status RecordFrequent(std::string_view symbols, const SupportInfo& support,
+                      long double n_l, const Alphabet& alphabet,
+                      MiningResult* result) {
+  PGM_ASSIGN_OR_RETURN(
+      Pattern pattern,
+      Pattern::FromSymbols(std::vector<Symbol>(symbols.begin(), symbols.end()),
+                           alphabet));
+  result->longest_frequent_length =
+      std::max(result->longest_frequent_length,
+               static_cast<std::int64_t>(pattern.length()));
+  result->patterns.push_back(FrequentPattern{
+      std::move(pattern), support.count, support.saturated,
+      static_cast<double>(static_cast<long double>(support.count) / n_l)});
+  return Status::OK();
+}
+
+void SealRun(const MiningGuard& guard, std::int64_t last_completed_level,
+             ObserverContext& ctx, MiningResult* result) {
+  result->termination = guard.reason();
+  result->pil_memory_peak_bytes = guard.memory_peak_bytes();
+  if (!result->complete()) {
+    result->guaranteed_complete_up_to =
+        std::min(result->guaranteed_complete_up_to, last_completed_level);
+  }
+  std::sort(result->patterns.begin(), result->patterns.end(),
+            PatternOrderLess);
+  ctx.Finish(result);
 }
 
 StatusOr<MiningResult> RunLevelwise(const Sequence& sequence,
@@ -225,22 +241,11 @@ StatusOr<MiningResult> RunLevelwise(const Sequence& sequence,
                                     const OffsetCounter& counter,
                                     std::int64_t n_effective,
                                     BuiltLevel seed_level, MiningGuard& guard,
-                                    ParallelLevelExecutor* executor,
-                                    ObserverContext* ctx) {
+                                    ParallelLevelExecutor& executor,
+                                    ObserverContext& ctx) {
   PGM_RETURN_IF_ERROR(ValidateConfig(sequence, config));
   PGM_ASSIGN_OR_RETURN(GapRequirement gap,
                        GapRequirement::Create(config.min_gap, config.max_gap));
-  ParallelLevelExecutor own_executor(executor == nullptr ? config.threads : 1);
-  if (executor == nullptr) executor = &own_executor;
-  // Only direct callers (tests) get a context made here; the engines pass
-  // their own so the trace carries their algorithm name, not "levelwise".
-  std::optional<ObserverContext> own_ctx;
-  if (ctx == nullptr) {
-    own_ctx.emplace(config.observer, "levelwise",
-                    KernelTierToString(config.kernel_tier));
-    ctx = &*own_ctx;
-  }
-  executor->set_observer(ctx);
   // One resolution per run: the gap (and so the window width) is fixed, so
   // every level of the run uses the same kernel implementation.
   const KernelImpl kernel = ResolveKernel(config.kernel_tier, gap);
@@ -252,54 +257,64 @@ StatusOr<MiningResult> RunLevelwise(const Sequence& sequence,
   // Last level whose candidates were all processed: on an interrupted run
   // the completeness guarantee shrinks to this horizon.
   std::int64_t last_completed_level = 0;
-  auto finalize = [&]() {
-    result.termination = guard.reason();
-    result.pil_memory_peak_bytes = guard.memory_peak_bytes();
-    if (!result.complete()) {
-      result.guaranteed_complete_up_to =
-          std::min(result.guaranteed_complete_up_to, last_completed_level);
-    }
-    std::sort(result.patterns.begin(), result.patterns.end(),
-              PatternOrderLess);
-    ctx->Finish(&result);
-  };
-
-  const long double rho = config.min_support_ratio;
-  const std::int64_t l2 = counter.l2();
   std::int64_t level_length = config.start_length;
-  if (level_length > l2) {  // no offset sequences at all
-    finalize();
+  if (level_length > counter.l2()) {  // no offset sequences at all
+    SealRun(guard, last_completed_level, ctx, &result);
     return result;
   }
   if (!guard.CheckNow()) {
-    ctx->GuardTrip(guard.reason(), 0);
-    finalize();
+    ctx.GuardTrip(guard.reason(), 0);
+    SealRun(guard, last_completed_level, ctx, &result);
     return result;
   }
 
-  // λ factor applied at level i: Theorem 1's λ_{n,n-i} for i <= n, 1 beyond
-  // (algorithm lines 4-7).
-  auto level_lambda = [&](std::int64_t i) -> long double {
-    if (i > n_effective) return 1.0L;
-    return counter.Lambda(n_effective, n_effective - i);
+  // The open level: its thresholds and its running counts.
+  long double n_l = 0.0L;
+  long double full_threshold = 0.0L;
+  long double relaxed_threshold = 0.0L;
+  LevelStats stats;
+  std::uint64_t evaluated = 0;
+  bool interrupted = false;
+  // Opens level `level_length` with `candidates` generated. Its λ factor is
+  // Theorem 1's λ_{n,n-l} for l <= n and 1 beyond (algorithm lines 4-7).
+  auto open_level = [&](std::uint64_t candidates) {
+    const long double lambda =
+        level_length > n_effective
+            ? 1.0L
+            : counter.Lambda(n_effective, n_effective - level_length);
+    n_l = counter.Count(level_length);
+    full_threshold = static_cast<long double>(config.min_support_ratio) * n_l;
+    relaxed_threshold = lambda * full_threshold;
+    stats = LevelStats{level_length, candidates, 0, 0};
+    evaluated = 0;
+    ctx.LevelStart(level_length, candidates, static_cast<double>(lambda),
+                   static_cast<double>(full_threshold),
+                   static_cast<double>(relaxed_threshold));
   };
-
-  // Records one pattern that cleared the full threshold.
-  auto record_frequent = [&](const std::string& symbols,
-                             const SupportInfo& support, long double n_l,
-                             std::int64_t length) -> Status {
-    FrequentPattern fp;
-    std::vector<Symbol> syms(symbols.begin(), symbols.end());
-    PGM_ASSIGN_OR_RETURN(
-        fp.pattern, Pattern::FromSymbols(std::move(syms), sequence.alphabet()));
-    fp.support = support.count;
-    fp.saturated = support.saturated;
-    fp.support_ratio = static_cast<double>(
-        static_cast<long double>(support.count) / n_l);
-    result.patterns.push_back(std::move(fp));
-    result.longest_frequent_length =
-        std::max(result.longest_frequent_length, length);
-    return Status::OK();
+  auto close_level = [&] {
+    if (interrupted) ctx.GuardTrip(guard.reason(), level_length);
+    ctx.LevelEnd(level_length, stats.num_candidates, evaluated,
+                 stats.num_frequent, stats.num_retained, !interrupted);
+    if (!interrupted) last_completed_level = level_length;
+  };
+  // Judges one candidate of the open level. An empty candidate is never
+  // kept: λ can be 0, and zero support would then clear the relaxed
+  // threshold.
+  struct Verdict {
+    bool frequent = false;
+    bool retain = false;
+  };
+  auto judge = [&](const SupportInfo& support, const PilSpan& span) {
+    ++evaluated;
+    ctx.ObserveCandidate(support.count, span.bytes());
+    Verdict verdict;
+    if (support.count == 0) return verdict;
+    const long double count = static_cast<long double>(support.count);
+    verdict.frequent = count >= full_threshold;
+    verdict.retain = count >= relaxed_threshold;
+    if (verdict.frequent) ++stats.num_frequent;
+    if (verdict.retain) ++stats.num_retained;
+    return verdict;
   };
 
   // The two arenas the mining loop ping-pongs between: arenas[cur] owns the
@@ -312,164 +327,90 @@ StatusOr<MiningResult> RunLevelwise(const Sequence& sequence,
   PilArena arenas[2] = {PilArena(&guard), PilArena(&guard)};
   int cur = 0;
   std::vector<ArenaEntry> retained;
-  bool interrupted = false;
 
   // First level: all |Σ|^start_length patterns (counted as candidates even
   // when their PIL turned out empty). The level opens in the registry
   // before the build, so a trip during construction still reports the level
   // it was working on. A non-empty seed was built (and memory-charged) by
   // the caller against the same guard.
-  {
-    const long double n_l = counter.Count(level_length);
-    const long double full_threshold = rho * n_l;
-    const long double relaxed_threshold =
-        level_lambda(level_length) * full_threshold;
-    LevelStats stats;
-    stats.length = level_length;
-    stats.num_candidates =
-        AnalyticCandidateCount(sequence.alphabet().size(), level_length);
-    ctx->LevelStart(level_length, stats.num_candidates,
-                    static_cast<double>(level_lambda(level_length)),
-                    static_cast<double>(full_threshold),
-                    static_cast<double>(relaxed_threshold));
-    std::uint64_t evaluated = 0;
-    BuiltLevel first_level =
-        seed_level.entries.empty()
-            ? BuildAllPatternsOfLength(sequence, gap, level_length, &guard,
-                                       executor, kernel)
-            : std::move(seed_level);
-    if (guard.stopped()) {
-      // Dropping the level here returns its arena's charge to the guard.
-      ctx->GuardTrip(guard.reason(), level_length);
-      ctx->LevelEnd(level_length, stats.num_candidates, evaluated, 0, 0,
-                    /*completed=*/false);
-      finalize();
-      return result;
-    }
-    if (guard.ChargeLevelCandidates(stats.num_candidates)) {
-      // Support counting is a read-only scan per entry: precompute the
-      // supports in parallel, then threshold serially — ticks, records,
-      // and the retention order are exactly the serial loop's.
-      std::vector<SupportInfo> supports(first_level.entries.size());
-      executor->ParallelFor(
-          first_level.entries.size(), 64,
-          [&](std::size_t begin, std::size_t end) {
-            for (std::size_t i = begin; i < end; ++i) {
-              supports[i] =
-                  first_level.arena.Support(first_level.entries[i].span);
-            }
-          });
-      for (std::size_t i = 0; i < first_level.entries.size(); ++i) {
-        ArenaEntry& entry = first_level.entries[i];
-        if (!guard.Tick()) {
-          interrupted = true;
-          break;
-        }
-        const SupportInfo support = supports[i];
-        ++evaluated;
-        ctx->ObserveCandidate(support.count, entry.span.bytes());
-        if (support.count == 0) continue;
-        const long double support_ld =
-            static_cast<long double>(support.count);
-        if (support_ld >= full_threshold) {
-          ++stats.num_frequent;
-          PGM_RETURN_IF_ERROR(
-              record_frequent(entry.symbols, support, n_l, level_length));
-        }
-        if (support_ld >= relaxed_threshold) {
-          ++stats.num_retained;
-          retained.push_back(std::move(entry));
-        }
-      }
-    } else {
+  open_level(AnalyticCandidateCount(sequence.alphabet().size(), level_length));
+  BuiltLevel first_level =
+      seed_level.entries.empty()
+          ? BuildAllPatternsOfLength(sequence, gap, level_length, &guard,
+                                     &executor, kernel)
+          : std::move(seed_level);
+  assert(first_level.supports.size() == first_level.entries.size());
+  // A trip during the build or at the candidate charge ends the run here.
+  interrupted =
+      guard.stopped() || !guard.ChargeLevelCandidates(stats.num_candidates);
+  for (std::size_t i = 0; !interrupted && i < first_level.entries.size();
+       ++i) {
+    if (!guard.Tick()) {
       interrupted = true;
+      break;
     }
-    // Retained spans stay valid: the whole first-level arena becomes the
-    // loop's source side.
-    arenas[cur] = std::move(first_level.arena);
-    if (interrupted) ctx->GuardTrip(guard.reason(), level_length);
-    ctx->LevelEnd(level_length, stats.num_candidates, evaluated,
-                  stats.num_frequent, stats.num_retained, !interrupted);
-    if (!interrupted) last_completed_level = level_length;
+    ArenaEntry& entry = first_level.entries[i];
+    const SupportInfo& support = first_level.supports[i];
+    const Verdict verdict = judge(support, entry.span);
+    if (verdict.frequent) {
+      PGM_RETURN_IF_ERROR(RecordFrequent(entry.symbols, support, n_l,
+                                         sequence.alphabet(), &result));
+    }
+    if (verdict.retain) retained.push_back(std::move(entry));
   }
+  // Retained spans stay valid: the whole first-level arena becomes the
+  // loop's source side.
+  arenas[cur] = std::move(first_level.arena);
+  close_level();
 
   while (!interrupted && !retained.empty() &&
          (config.max_length < 0 || level_length < config.max_length) &&
-         level_length + 1 <= l2) {
+         level_length + 1 <= counter.l2()) {
     if (!guard.CheckNow()) {
-      ctx->GuardTrip(guard.reason(), level_length);
+      ctx.GuardTrip(guard.reason(), level_length);
       break;
     }
     ++level_length;
-    const long double n_l = counter.Count(level_length);
-    const long double full_threshold = rho * n_l;
-    const long double relaxed_threshold =
-        level_lambda(level_length) * full_threshold;
-
-    LevelStats stats;
-    stats.length = level_length;
-    const JoinPlan plan = JoinPlan::SelfJoin(retained, executor);
-    stats.num_candidates = plan.num_candidates();
-    ctx->LevelStart(level_length, stats.num_candidates,
-                    static_cast<double>(level_lambda(level_length)),
-                    static_cast<double>(full_threshold),
-                    static_cast<double>(relaxed_threshold));
-    std::uint64_t evaluated = 0;
+    const JoinPlan plan = JoinPlan::SelfJoin(retained, &executor);
+    open_level(plan.num_candidates());
 
     PilArena& src = arenas[cur];
     PilArena& dst = arenas[cur ^ 1];
     std::vector<ArenaEntry> next_retained;
     if (guard.ChargeLevelCandidates(stats.num_candidates)) {
       auto sink = [&](const JoinedCandidate& candidate) -> Status {
-        ++evaluated;
-        ctx->ObserveCandidate(candidate.support.count,
-                              candidate.span.bytes());
-        if (candidate.support.count == 0) return Status::OK();
-        const long double support_ld =
-            static_cast<long double>(candidate.support.count);
-        const bool frequent = support_ld >= full_threshold;
-        const bool retain = support_ld >= relaxed_threshold;
-        if (!frequent && !retain) return Status::OK();
+        const Verdict verdict = judge(candidate.support, candidate.span);
+        if (!verdict.frequent && !verdict.retain) return Status::OK();
         std::string symbols;
         symbols.reserve(static_cast<std::size_t>(level_length));
         symbols.push_back(retained[candidate.left].symbols.front());
         symbols.append(retained[candidate.right].symbols);
-        if (frequent) {
-          ++stats.num_frequent;
-          PGM_RETURN_IF_ERROR(
-              record_frequent(symbols, candidate.support, n_l, level_length));
+        if (verdict.frequent) {
+          PGM_RETURN_IF_ERROR(RecordFrequent(symbols, candidate.support, n_l,
+                                             sequence.alphabet(), &result));
         }
-        if (retain) {
-          ++stats.num_retained;
-          ArenaEntry entry;
-          entry.symbols = std::move(symbols);
-          entry.span = dst.Promote(candidate.span);
-          next_retained.push_back(std::move(entry));
+        if (verdict.retain) {
+          next_retained.push_back(
+              ArenaEntry{std::move(symbols), dst.Promote(candidate.span)});
         }
         return Status::OK();
       };
-      bool level_interrupted = false;
       dst.BeginScratch();
       const Status join_status =
-          executor->ExecuteJoin(retained, src, retained, src, plan, gap,
-                                kernel, &guard, dst, sink,
-                                &level_interrupted);
+          executor.ExecuteJoin(retained, src, retained, src, plan, gap, kernel,
+                               &guard, dst, sink, &interrupted);
       dst.EndScratch();
       PGM_RETURN_IF_ERROR(join_status);
-      interrupted = level_interrupted;
     } else {
       interrupted = true;
     }
     retained = std::move(next_retained);
     src.Clear();
     cur ^= 1;
-    if (interrupted) ctx->GuardTrip(guard.reason(), level_length);
-    ctx->LevelEnd(level_length, stats.num_candidates, evaluated,
-                  stats.num_frequent, stats.num_retained, !interrupted);
-    if (!interrupted) last_completed_level = level_length;
+    close_level();
   }
 
-  finalize();
+  SealRun(guard, last_completed_level, ctx, &result);
   return result;
 }
 

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "core/gap.h"
@@ -107,6 +108,8 @@ struct FrequentPattern {
   /// sup(P) / N_l.
   double support_ratio = 0.0;
 };
+// A result's growth moves its patterns rather than copying them.
+static_assert(std::is_nothrow_move_constructible_v<FrequentPattern>);
 
 /// Per-level candidate accounting (the raw material of the paper's Table 3).
 /// A view derived from the run's metrics registry at finish time: the
@@ -177,6 +180,13 @@ struct MiningResult {
   double total_seconds = 0.0;
 };
 
+/// Estimated resident size of a MiningResult: the struct, each pattern and
+/// its symbols, and the level stats. It counts lengths, not capacities, so
+/// a copy and its original count the same. An estimate, not an audit: the
+/// serving cache and the corpus ledger bound memory growth with it, they do
+/// not reproduce malloc bookkeeping.
+std::uint64_t ApproxResultBytes(const MiningResult& result);
+
 /// MPP (Section 5.1): level-wise mining with PIL-based support counting and
 /// the Theorem 1 λ-relaxed thresholds, steered by the user estimate n
 /// (config.user_n). Guarantees completeness for lengths <= min(n, l1) and
@@ -241,42 +251,68 @@ std::uint64_t AnalyticCandidateCount(std::size_t alphabet_size,
                                      std::int64_t length);
 
 /// Builds the arena-backed level of every length-k pattern with non-empty
-/// PIL. Used to seed the level-wise loop and by MPPm's n-estimation. When
-/// `guard` is non-null every PIL extension ticks it and the level arena's
-/// capacity is charged against the memory budget; the charge travels with
-/// the returned BuiltLevel and drains when it is destroyed. On a tripped
-/// guard the returned level is partial and `guard->stopped()` is true.
-/// When `executor` is non-null the level joins run on it; null means
-/// serial. `kernel` selects the join-kernel implementation (core/kernel.h)
-/// — both produce byte-identical levels, so the scalar default is a
-/// correctness-neutral convenience for tests and benchmarks.
+/// PIL, each entry's support beside it. Used to seed the level-wise loop and
+/// by MPPm's n-estimation. When `guard` is non-null every PIL extension
+/// ticks it and the level arena's capacity is charged against the memory
+/// budget; the charge travels with the returned BuiltLevel and drains when
+/// it is destroyed. On a tripped guard the returned level is partial and
+/// `guard->stopped()` is true. When `executor` is non-null the level joins
+/// run on it; null means serial. `kernel` selects the join-kernel
+/// implementation (core/kernel.h) — both produce byte-identical levels, so
+/// the scalar default is a correctness-neutral convenience for tests and
+/// benchmarks.
 BuiltLevel BuildAllPatternsOfLength(
     const Sequence& sequence, const GapRequirement& gap, std::int64_t k,
     MiningGuard* guard = nullptr, ParallelLevelExecutor* executor = nullptr,
     KernelImpl kernel = KernelImpl::kScalar);
 
+/// Extends `level` by one symbol on the left without pruning: joins `plan`
+/// (left.entries[t.left] against level.entries[r]; `left` may be `level`
+/// itself) into `spare`, and makes `level` every candidate with a non-empty
+/// PIL, in plan order, its symbols the left entry's first symbol followed
+/// by the right entry's, its support the join kernel's. `spare` takes
+/// `level`'s old arena, cleared with its capacity kept, so a run of
+/// extensions ping-pongs between two arenas. Returns true when `guard`
+/// interrupted the join; `level` then holds the delivered prefix.
+bool ExtendLevel(const BuiltLevel& left, const JoinPlan& plan,
+                 const GapRequirement& gap, KernelImpl kernel,
+                 MiningGuard* guard, ParallelLevelExecutor& executor,
+                 BuiltLevel& level, PilArena& spare);
+
+/// Appends the frequent pattern `symbols` spells over `alphabet`, with
+/// `support` and its ratio to `n_l`, to result->patterns, and raises
+/// result->longest_frequent_length to its length.
+Status RecordFrequent(std::string_view symbols, const SupportInfo& support,
+                      long double n_l, const Alphabet& alphabet,
+                      MiningResult* result);
+
+/// Seals a run: records why it stopped and its PIL peak, shrinks the
+/// completeness horizon to `last_completed_level` when the run was cut
+/// short, puts the patterns in PatternOrderLess order, and lets `ctx`
+/// derive the level stats (ObserverContext::Finish).
+void SealRun(const MiningGuard& guard, std::int64_t last_completed_level,
+             ObserverContext& ctx, MiningResult* result);
+
 /// The shared level-wise engine behind MPP and MPPm. `n_effective` is the
 /// (already clamped) n; `seed_level` may carry a precomputed first level to
 /// avoid duplicate work (pass a default-constructed BuiltLevel to build
 /// internally — non-empty seeds must be backed by arenas charged against
-/// `guard`). The guard is checked at every level boundary and ticked per
-/// PIL extension; when it trips, the engine stops, tightens
-/// guaranteed_complete_up_to to the last fully processed level, and returns
-/// the partial result with the guard's reason. The engine's arenas release
-/// their charges when they go out of scope, so on every exit the guard's
-/// ledger returns to whatever the caller's outstanding charges are.
-/// `executor` runs the level joins (null = construct one from
-/// config.threads internally). `ctx` is the caller's recording context
-/// (null = the engine creates one from config.observer); the engine calls
-/// ctx->Finish, which derives the result's LevelStats/total_candidates from
-/// the run registry.
+/// `guard`, with one support per entry). The guard is checked at every
+/// level boundary and ticked per PIL extension; when it trips, the engine
+/// stops, tightens guaranteed_complete_up_to to the last fully processed
+/// level, and returns the partial result with the guard's reason. The
+/// engine's arenas release their charges when they go out of scope, so on
+/// every exit the guard's ledger returns to whatever the caller's
+/// outstanding charges are. `executor` runs the level joins and `ctx` is
+/// the caller's recording context; the engine calls ctx.Finish, which
+/// derives the result's LevelStats/total_candidates from the run registry.
 StatusOr<MiningResult> RunLevelwise(const Sequence& sequence,
                                     const MinerConfig& config,
                                     const OffsetCounter& counter,
                                     std::int64_t n_effective,
                                     BuiltLevel seed_level, MiningGuard& guard,
-                                    ParallelLevelExecutor* executor = nullptr,
-                                    ObserverContext* ctx = nullptr);
+                                    ParallelLevelExecutor& executor,
+                                    ObserverContext& ctx);
 
 }  // namespace internal
 }  // namespace pgm

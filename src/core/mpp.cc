@@ -14,6 +14,8 @@ StatusOr<MiningResult> MineMpp(const Sequence& sequence,
   MiningGuard guard(config.limits, config.cancel);
   internal::ObserverContext ctx(config.observer, "mpp",
                                 KernelTierToString(config.kernel_tier));
+  internal::ParallelLevelExecutor executor(config.threads);
+  executor.set_observer(&ctx);
   OffsetCounter counter(static_cast<std::int64_t>(sequence.size()), gap);
 
   // Algorithm line 3: clamp the user estimate to l1 ("if n > l1, n = l1");
@@ -24,8 +26,7 @@ StatusOr<MiningResult> MineMpp(const Sequence& sequence,
   PGM_ASSIGN_OR_RETURN(
       MiningResult result,
       internal::RunLevelwise(sequence, config, counter, n,
-                             internal::BuiltLevel{}, guard,
-                             /*executor=*/nullptr, &ctx));
+                             internal::BuiltLevel{}, guard, executor, ctx));
   result.mining_seconds = watch.ElapsedSeconds();
   result.total_seconds = result.mining_seconds;
   return result;

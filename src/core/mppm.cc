@@ -22,11 +22,10 @@ StatusOr<MiningResult> MineMppm(const Sequence& sequence,
   // A budget that is exhausted on arrival (0-ms deadline, pre-cancelled
   // token) skips every phase and returns an empty partial result.
   if (!guard.CheckNow()) {
-    MiningResult result;
-    result.termination = guard.reason();
-    result.total_seconds = total_watch.ElapsedSeconds();
     ctx.GuardTrip(guard.reason(), 0);
-    ctx.Finish(&result);
+    MiningResult result;
+    internal::SealRun(guard, /*last_completed_level=*/0, ctx, &result);
+    result.total_seconds = total_watch.ElapsedSeconds();
     return result;
   }
 
@@ -41,10 +40,10 @@ StatusOr<MiningResult> MineMppm(const Sequence& sequence,
   const std::uint64_t em = std::max<std::uint64_t>(1, em_result.em);
   const double em_seconds = em_watch.ElapsedSeconds();
 
-  // Phase 2: estimate n. Count the supports of all start-length patterns,
-  // then find the largest k <= l1 for which some start-length pattern still
-  // clears the Theorem 2 prefix bound λ'_{k,k-s} * ρs * N_s. Scanning k
-  // downward returns the largest such k directly.
+  // Phase 2: estimate n. Build the start-length level, whose supports come
+  // with it, then find the largest k <= l1 for which some start-length
+  // pattern still clears the Theorem 2 prefix bound λ'_{k,k-s} * ρs * N_s.
+  // Scanning k downward returns the largest such k directly.
   const std::int64_t s = config.start_length;
   internal::BuiltLevel seed = internal::BuildAllPatternsOfLength(
       sequence, gap, s, &guard, &executor,
@@ -53,13 +52,6 @@ StatusOr<MiningResult> MineMppm(const Sequence& sequence,
     // Dropping the seed returns its arena's charge to the guard; the ledger
     // needs no manual balancing.
     seed = internal::BuiltLevel{};
-    MiningResult result;
-    result.termination = guard.reason();
-    result.pil_memory_peak_bytes = guard.memory_peak_bytes();
-    result.em = em_result.em;
-    result.em_seconds = em_seconds;
-    result.total_seconds = total_watch.ElapsedSeconds();
-    result.mining_seconds = result.total_seconds - em_seconds;
     // The trip cut the first level's construction short. Record the level
     // with its analytic |Σ|^s candidate count (n is not yet estimated, so
     // no λ relaxation applies) so the partial result reports the true
@@ -71,12 +63,17 @@ StatusOr<MiningResult> MineMppm(const Sequence& sequence,
     ctx.LevelStart(s, analytic, 1.0, full_threshold, full_threshold);
     ctx.GuardTrip(guard.reason(), s);
     ctx.LevelEnd(s, analytic, 0, 0, 0, /*completed=*/false);
-    ctx.Finish(&result);
+    MiningResult result;
+    internal::SealRun(guard, /*last_completed_level=*/0, ctx, &result);
+    result.em = em_result.em;
+    result.em_seconds = em_seconds;
+    result.total_seconds = total_watch.ElapsedSeconds();
+    result.mining_seconds = result.total_seconds - em_seconds;
     return result;
   }
   std::uint64_t max_support = 0;
-  for (const internal::ArenaEntry& entry : seed.entries) {
-    max_support = std::max(max_support, seed.arena.Support(entry.span).count);
+  for (const SupportInfo& support : seed.supports) {
+    max_support = std::max(max_support, support.count);
   }
   const long double rho = config.min_support_ratio;
   const long double n_s = counter.Count(s);
@@ -99,7 +96,7 @@ StatusOr<MiningResult> MineMppm(const Sequence& sequence,
   PGM_ASSIGN_OR_RETURN(
       MiningResult result,
       internal::RunLevelwise(sequence, config, counter, n, std::move(seed),
-                             guard, &executor, &ctx));
+                             guard, executor, ctx));
   result.em = em_result.em;
   result.estimated_n = n;
   result.em_seconds = em_seconds;

@@ -160,11 +160,6 @@ class PilArena {
     watermark_ = 0;
   }
 
-  /// sup(P) for an arena-backed pattern.
-  SupportInfo Support(const PilSpan& span) const {
-    return SupportOfRows(Rows(span), span.len);
-  }
-
   /// Capacity bytes currently charged to the guard (the arena's high-water
   /// reservation, not its resident memory).
   std::uint64_t capacity_bytes() const {

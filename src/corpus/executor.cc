@@ -24,17 +24,6 @@ std::uint64_t WindowBytes(const Sequence& sequence) {
          static_cast<std::uint64_t>(sequence.size()) * sizeof(Symbol);
 }
 
-std::uint64_t ResultBytes(const MiningResult& result) {
-  std::uint64_t bytes = sizeof(MiningResult);
-  for (const FrequentPattern& p : result.patterns) {
-    bytes += sizeof(FrequentPattern) +
-             static_cast<std::uint64_t>(p.pattern.length()) * sizeof(Symbol);
-  }
-  bytes += static_cast<std::uint64_t>(result.level_stats.size()) *
-           sizeof(LevelStats);
-  return bytes;
-}
-
 /// One fragment's in-flight state. Workers write disjoint slots (claimed
 /// off an atomic cursor), so no lock is needed; the aggregation pass reads
 /// them serially after the fork-join barrier.
@@ -184,7 +173,7 @@ StatusOr<CorpusResult> MineCorpus(const CorpusPlan& plan,
       slot.out.mined = true;
       if (mined.ok()) {
         slot.out.result = *std::move(mined);
-        const std::uint64_t result_bytes = ResultBytes(slot.out.result);
+        const std::uint64_t result_bytes = ApproxResultBytes(slot.out.result);
         ledger.Charge(result_bytes);
         slot.charged_bytes = SatAdd(slot.charged_bytes, result_bytes);
         if (!corpus_guard.ChargeLevelCandidates(

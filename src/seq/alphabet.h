@@ -37,9 +37,6 @@ class Alphabet {
   /// The 20 standard amino acids "ACDEFGHIKLMNPQRSTVWY", case-insensitive.
   static const Alphabet& Protein();
 
-  Alphabet(const Alphabet&) = default;
-  Alphabet& operator=(const Alphabet&) = default;
-
   /// Number of symbols.
   std::size_t size() const { return symbols_.size(); }
 

@@ -12,16 +12,6 @@ void BumpCounter(MetricsRegistry* metrics, const char* name) {
 
 }  // namespace
 
-std::uint64_t ApproxResultBytes(const MiningResult& result) {
-  std::uint64_t bytes = sizeof(MiningResult);
-  for (const FrequentPattern& fp : result.patterns) {
-    bytes += sizeof(FrequentPattern);
-    bytes += fp.pattern.symbols().capacity() * sizeof(Symbol);
-  }
-  bytes += result.level_stats.capacity() * sizeof(LevelStats);
-  return bytes;
-}
-
 ResultCache::ResultCache(std::uint64_t capacity_bytes, MetricsRegistry* metrics)
     : capacity_bytes_(capacity_bytes), metrics_(metrics) {}
 

@@ -13,11 +13,6 @@
 
 namespace pgm {
 
-/// Estimated resident size of a MiningResult: the struct, its pattern
-/// payloads, and its level stats. An estimate, not an audit — the cache's
-/// ledger bounds memory growth, it does not reproduce malloc bookkeeping.
-std::uint64_t ApproxResultBytes(const MiningResult& result);
-
 /// An LRU cache of completed mining results keyed by
 /// serve::CacheKey(sequence, algorithm, config).
 ///

@@ -1,7 +1,6 @@
 #include "util/csv_writer.h"
 
-#include <cstdio>
-
+#include "util/io.h"
 #include "util/string_util.h"
 
 namespace pgm {
@@ -73,17 +72,7 @@ std::string CsvWriter::ToString() const {
 }
 
 Status CsvWriter::WriteToFile(const std::string& path) const {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    return Status::IoError("cannot open for writing: " + path);
-  }
-  std::string doc = ToString();
-  std::size_t written = std::fwrite(doc.data(), 1, doc.size(), f);
-  std::fclose(f);
-  if (written != doc.size()) {
-    return Status::IoError("short write to " + path);
-  }
-  return Status::OK();
+  return WriteStringToFile(path, ToString());
 }
 
 }  // namespace pgm

@@ -43,7 +43,7 @@ class CsvWriter {
   /// Full document including the header line, with proper quoting.
   std::string ToString() const;
 
-  /// Writes ToString() to `path`.
+  /// Writes ToString() to `path` (WriteStringToFile, util/io.h).
   Status WriteToFile(const std::string& path) const;
 
  private:

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
 
 #include "core/kernel.h"
 #include "core/miner_options.h"
@@ -353,6 +354,20 @@ TEST(CliExitCodeTest, MissingFastaFileExitsThree) {
   EXPECT_EQ(code, 3) << error;
   EXPECT_TRUE(output.empty());
   EXPECT_NE(error.find("cannot open"), std::string::npos);
+}
+
+TEST(CliExitCodeTest, CsvWriteThatFailsAtCloseExitsThree) {
+  // /dev/full fails the patterns CSV only when its buffer flushes at close.
+  if (!std::filesystem::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  std::string output, error;
+  const int code = RunFromString(
+      "pgm mine --input preset:bacteria:3000:1 --min-gap 1 --max-gap 3 "
+      "--rho-percent 2 --start-length 3 --max-length 3 --algorithm mpp "
+      "--csv /dev/full",
+      &output, &error);
+  EXPECT_EQ(code, 3) << error;
+  EXPECT_EQ(output.find("wrote"), std::string::npos) << output;
+  EXPECT_NE(error.find("/dev/full"), std::string::npos) << error;
 }
 
 TEST(CliExitCodeTest, CorruptCsvExitsFour) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
 
 namespace pgm {
 namespace {
@@ -72,6 +73,16 @@ TEST(CsvWriterTest, WriteToFileRoundTrips) {
   std::fclose(f);
   std::remove(path.c_str());
   EXPECT_EQ(std::string(buffer, n), "k,v\nalpha,1\n");
+}
+
+TEST(CsvWriterTest, WriteThatFailsWhenTheBufferFlushesIsAnIoError) {
+  // /dev/full accepts the open and the buffered write, then fails the flush
+  // at close with ENOSPC: only a writer that checks fclose reports it.
+  if (!std::filesystem::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  CsvWriter csv({"k", "v"});
+  ASSERT_TRUE(csv.AddRow({"alpha", "1"}).ok());
+  const Status status = csv.WriteToFile("/dev/full");
+  EXPECT_EQ(status.code(), StatusCode::kIoError) << status.ToString();
 }
 
 TEST(CsvWriterTest, WriteToBadPathFails) {

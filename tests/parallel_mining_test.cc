@@ -20,6 +20,7 @@
 #include "core/guard.h"
 #include "core/miner.h"
 #include "core/offset_counter.h"
+#include "core/trace.h"
 #include "datagen/generators.h"
 #include "seq/sequence.h"
 #include "util/random.h"
@@ -290,8 +291,11 @@ TEST(ParallelMiningTest, LedgerDrainsToZeroAfterCompletedRun) {
   GapRequirement gap = *GapRequirement::Create(config.min_gap, config.max_gap);
   OffsetCounter counter(static_cast<std::int64_t>(sequence.size()), gap);
   MiningGuard guard(config.limits, config.cancel);
-  StatusOr<MiningResult> result = internal::RunLevelwise(
-      sequence, config, counter, counter.l1(), internal::BuiltLevel{}, guard);
+  internal::ParallelLevelExecutor executor(config.threads);
+  internal::ObserverContext ctx(nullptr, "mpp");
+  StatusOr<MiningResult> result =
+      internal::RunLevelwise(sequence, config, counter, counter.l1(),
+                             internal::BuiltLevel{}, guard, executor, ctx);
   ASSERT_TRUE(result.ok()) << result.status().message();
   EXPECT_TRUE(result->complete());
   EXPECT_EQ(guard.memory_in_use_bytes(), 0u);
@@ -309,9 +313,11 @@ TEST(ParallelMiningTest, LedgerDrainsToZeroAfterBudgetTrippedRun) {
         *GapRequirement::Create(config.min_gap, config.max_gap);
     OffsetCounter counter(static_cast<std::int64_t>(sequence.size()), gap);
     MiningGuard guard(config.limits, config.cancel);
+    internal::ParallelLevelExecutor executor(config.threads);
+    internal::ObserverContext ctx(nullptr, "mpp");
     StatusOr<MiningResult> result =
         internal::RunLevelwise(sequence, config, counter, counter.l1(),
-                               internal::BuiltLevel{}, guard);
+                               internal::BuiltLevel{}, guard, executor, ctx);
     ASSERT_TRUE(result.ok()) << result.status().message();
     EXPECT_EQ(result->termination, TerminationReason::kMemoryBudget)
         << "threads " << threads;

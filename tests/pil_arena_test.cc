@@ -1,12 +1,13 @@
 // Tests for the arena-backed PIL representation (core/pil_arena.h).
 //
 // Three layers:
-//   1. Property tests pinning the equivalence contract: an arena span must
-//      report exactly the SupportInfo that the heap-backed
-//      PartialIndexList::FromEntries / TotalSupport path reports for the
-//      same rows, including saturating counts and positions at the
-//      kMaxSequenceLength boundary. (The join kernel's equivalence with
-//      PartialIndexList::Combine is kernel_oracle_test's.)
+//   1. Property tests pinning the equivalence contract: every entry of a
+//      built level carries exactly the SupportInfo the heap-backed oracle
+//      (PartialIndexList::ForSymbol / Combine / TotalSupport) reports for
+//      its pattern, at every thread count and kernel tier, and the level-1
+//      counting sort lays out ForSymbol's rows. (The join kernel's row
+//      equivalence with PartialIndexList::Combine is kernel_oracle_test's;
+//      the support clamp is pil_test's and miner_saturation_test's.)
 //   2. Arena mechanics: the watermark/scratch protocol (Promote
 //      compaction, TruncateToWatermark), capacity reuse across Clear()
 //      (the ping-pong path), move semantics, and the growth counter that
@@ -22,6 +23,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <map>
 #include <string>
 #include <utility>
 #include <vector>
@@ -29,40 +31,19 @@
 #include "core/candidate_index.h"
 #include "core/gap.h"
 #include "core/guard.h"
+#include "core/kernel.h"
 #include "core/miner.h"
 #include "core/offset_counter.h"
+#include "core/parallel.h"
 #include "core/pil.h"
 #include "core/pil_arena.h"
+#include "core/trace.h"
 #include "seq/sequence.h"
 #include "util/limits.h"
 #include "util/random.h"
-#include "util/saturating.h"
 
 namespace pgm {
 namespace {
-
-// Sorted entries with strictly increasing positions and positive counts —
-// the invariant PartialIndexList::FromEntries assert-checks. In saturating
-// mode a fifth of the counts land within a few units of kSaturatedCount so
-// both the clamp and the exact 128-bit sum paths are exercised.
-std::vector<PilEntry> RandomEntries(Rng& rng, std::size_t max_len,
-                                    bool saturating) {
-  const std::size_t len = rng.UniformInt(max_len + 1);
-  std::vector<PilEntry> entries;
-  entries.reserve(len);
-  std::uint32_t pos = static_cast<std::uint32_t>(rng.UniformInt(4));
-  for (std::size_t i = 0; i < len; ++i) {
-    std::uint64_t count;
-    if (saturating && rng.Bernoulli(0.2)) {
-      count = kSaturatedCount - rng.UniformInt(3);
-    } else {
-      count = 1 + rng.UniformInt(1000);
-    }
-    entries.push_back(PilEntry{pos, count});
-    pos += static_cast<std::uint32_t>(1 + rng.UniformInt(4));
-  }
-  return entries;
-}
 
 // Copies `entries` into `arena` as a fresh span.
 PilSpan SpanOf(PilArena& arena, const std::vector<PilEntry>& entries) {
@@ -72,50 +53,116 @@ PilSpan SpanOf(PilArena& arena, const std::vector<PilEntry>& entries) {
   return span;
 }
 
-TEST(PilArenaSupportTest, SpanSupportMatchesPartialIndexList) {
-  Rng rng(0x5eedc0de);
-  PilArena arena;
-  for (int round = 0; round < 200; ++round) {
-    const bool saturating = (round % 2) == 1;
-    const std::vector<PilEntry> entries = RandomEntries(rng, 64, saturating);
-    const PilSpan span = SpanOf(arena, entries);
-    const SupportInfo from_arena = arena.Support(span);
-    const SupportInfo from_list =
-        PartialIndexList::FromEntries(entries).TotalSupport();
-    ASSERT_EQ(from_arena.count, from_list.count) << "round " << round;
-    ASSERT_EQ(from_arena.saturated, from_list.saturated) << "round " << round;
+Sequence RandomDna(std::size_t length, std::uint64_t seed) {
+  Rng rng(seed);
+  std::string text;
+  for (std::size_t i = 0; i < length; ++i) text += "ACGT"[rng.UniformInt(4)];
+  return *Sequence::FromString(text, Alphabet::Dna());
+}
+
+std::vector<KernelImpl> TiersUnderTest() {
+  std::vector<KernelImpl> tiers = {KernelImpl::kScalar};
+  if (Avx2Available()) tiers.push_back(KernelImpl::kAvx2);
+  return tiers;
+}
+
+// The oracle PIL of `symbols`: ForSymbol at length 1, and
+// Combine(PIL(prefix), PIL(suffix)) above it, memoized in `memo`.
+const PartialIndexList& OraclePil(
+    const Sequence& sequence, const GapRequirement& gap,
+    const std::string& symbols,
+    std::map<std::string, PartialIndexList>& memo) {
+  auto it = memo.find(symbols);
+  if (it != memo.end()) return it->second;
+  PartialIndexList pil =
+      symbols.size() == 1
+          ? PartialIndexList::ForSymbol(sequence,
+                                        static_cast<Symbol>(symbols[0]))
+          : PartialIndexList::Combine(
+                OraclePil(sequence, gap, symbols.substr(0, symbols.size() - 1),
+                          memo),
+                OraclePil(sequence, gap, symbols.substr(1), memo), gap);
+  return memo.emplace(symbols, std::move(pil)).first->second;
+}
+
+// Checks every entry of the length-1..4 levels built over `sequence` under
+// `gap`, at 1 and 4 threads and under every kernel tier, against the oracle.
+void ExpectSupportsMatchOracle(const Sequence& sequence,
+                               const GapRequirement& gap) {
+  std::map<std::string, PartialIndexList> memo;
+  for (std::int64_t k = 1; k <= 4; ++k) {
+    // Every length-k pattern with a non-empty oracle PIL must be an entry.
+    std::size_t non_empty = 0;
+    for (std::size_t code = 0; code < (std::size_t{1} << (2 * k)); ++code) {
+      std::string symbols;
+      for (std::int64_t i = k - 1; i >= 0; --i) {
+        symbols.push_back(static_cast<char>((code >> (2 * i)) & 3));
+      }
+      if (!OraclePil(sequence, gap, symbols, memo).empty()) ++non_empty;
+    }
+    for (KernelImpl kernel : TiersUnderTest()) {
+      for (std::int64_t threads : {std::int64_t{1}, std::int64_t{4}}) {
+        SCOPED_TRACE(testing::Message()
+                     << "k=" << k << " kernel=" << KernelImplToString(kernel)
+                     << " threads=" << threads);
+        internal::ParallelLevelExecutor executor(threads);
+        const internal::BuiltLevel level = internal::BuildAllPatternsOfLength(
+            sequence, gap, k, nullptr, &executor, kernel);
+        ASSERT_EQ(level.supports.size(), level.entries.size());
+        EXPECT_EQ(level.entries.size(), non_empty);
+        for (std::size_t i = 0; i < level.entries.size(); ++i) {
+          const SupportInfo expected =
+              OraclePil(sequence, gap, level.entries[i].symbols, memo)
+                  .TotalSupport();
+          ASSERT_GT(expected.count, 0u) << "entry " << i;
+          EXPECT_EQ(level.supports[i].count, expected.count) << "entry " << i;
+          EXPECT_EQ(level.supports[i].saturated, expected.saturated)
+              << "entry " << i;
+        }
+      }
+    }
   }
 }
 
-TEST(PilArenaSupportTest, SaturatedAndBoundaryRowsRoundTrip) {
-  // One saturated row plus a row at the last indexable position: the span
-  // must agree with the heap path that the sum clamps and stays clamped.
-  const std::uint32_t last_pos =
-      static_cast<std::uint32_t>(kMaxSequenceLength - 1);
-  const std::vector<PilEntry> saturated = {
-      PilEntry{0, kSaturatedCount},
-      PilEntry{last_pos, 1},
-  };
-  // Two rows that only saturate when summed (each is below the clamp).
-  const std::vector<PilEntry> overflowing = {
-      PilEntry{7, kSaturatedCount / 2 + 1},
-      PilEntry{last_pos, kSaturatedCount / 2 + 1},
-  };
-  PilArena arena;
-  for (const auto& entries : {saturated, overflowing}) {
-    const PilSpan span = SpanOf(arena, entries);
-    const SupportInfo from_arena = arena.Support(span);
-    const SupportInfo from_list =
-        PartialIndexList::FromEntries(entries).TotalSupport();
-    EXPECT_EQ(from_arena.count, kSaturatedCount);
-    EXPECT_TRUE(from_arena.saturated);
-    EXPECT_EQ(from_arena.count, from_list.count);
-    EXPECT_EQ(from_arena.saturated, from_list.saturated);
+TEST(BuiltLevelSupportTest, SupportsMatchTheOracleAtEveryLengthAndTier) {
+  const Sequence sequence = RandomDna(600, 0x5eedc0de);
+  // Gap [0,0] leaves some length-4 patterns unmatched; [1,3] matches all.
+  ExpectSupportsMatchOracle(sequence, *GapRequirement::Create(0, 0));
+  ExpectSupportsMatchOracle(sequence, *GapRequirement::Create(1, 3));
+}
+
+TEST(BuiltLevelSupportTest, LevelOneIsForSymbolRowForRowPast64kSymbols) {
+  // More than 2^16 symbols: a layout that depended on cutting the sequence
+  // into 64k-position blocks would show a seam here.
+  const Sequence sequence = RandomDna(70000, 0xc0ffee);
+  const GapRequirement gap = *GapRequirement::Create(1, 3);
+  for (std::int64_t threads : {std::int64_t{1}, std::int64_t{4}}) {
+    SCOPED_TRACE(testing::Message() << "threads=" << threads);
+    internal::ParallelLevelExecutor executor(threads);
+    const internal::BuiltLevel level = internal::BuildAllPatternsOfLength(
+        sequence, gap, 1, nullptr, &executor);
+    ASSERT_EQ(level.entries.size(), 4u);
+    ASSERT_EQ(level.supports.size(), 4u);
+    std::uint64_t offset = 0;
+    for (std::size_t s = 0; s < level.entries.size(); ++s) {
+      const internal::ArenaEntry& entry = level.entries[s];
+      EXPECT_EQ(entry.symbols, std::string(1, static_cast<char>(s)));
+      const PartialIndexList oracle =
+          PartialIndexList::ForSymbol(sequence, static_cast<Symbol>(s));
+      const std::vector<PilEntry>& expected = oracle.entries();
+      EXPECT_EQ(entry.span.offset, offset) << "symbol " << s;
+      ASSERT_EQ(entry.span.len, expected.size()) << "symbol " << s;
+      const PilEntry* rows = level.arena.Rows(entry.span);
+      EXPECT_TRUE(std::equal(expected.begin(), expected.end(), rows))
+          << "symbol " << s;
+      EXPECT_EQ(level.supports[s].count, expected.size()) << "symbol " << s;
+      EXPECT_FALSE(level.supports[s].saturated) << "symbol " << s;
+      offset += entry.span.len;
+    }
+    EXPECT_EQ(offset, sequence.size());
+    EXPECT_EQ(level.arena.size(), sequence.size());
+    EXPECT_EQ(level.arena.watermark(), sequence.size());
   }
-  // And an empty span reports zero support, like an empty list.
-  const PilSpan empty = arena.Allocate(0);
-  EXPECT_EQ(arena.Support(empty).count, 0u);
-  EXPECT_FALSE(arena.Support(empty).saturated);
 }
 
 TEST(PilArenaMechanicsTest, PromoteCompactsScratchOntoWatermark) {
@@ -317,9 +364,11 @@ LedgerRun RunLevelwiseWith(const ResourceLimits& limits,
       *GapRequirement::Create(config.min_gap, config.max_gap);
   MiningGuard guard(limits, cancel);
   OffsetCounter counter(static_cast<std::int64_t>(sequence.size()), gap);
+  internal::ParallelLevelExecutor executor(config.threads);
+  internal::ObserverContext ctx(nullptr, "mpp");
   StatusOr<MiningResult> result =
       internal::RunLevelwise(sequence, config, counter, counter.l1(),
-                             internal::BuiltLevel{}, guard);
+                             internal::BuiltLevel{}, guard, executor, ctx);
   EXPECT_TRUE(result.ok()) << result.status().ToString();
   LedgerRun run;
   run.result = *std::move(result);
