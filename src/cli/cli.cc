@@ -437,14 +437,15 @@ Status RunCorpus(const std::vector<std::string>& args, std::string* output,
     return Status::InvalidArgument(plan.EmptyPlanDiagnostic(plan_options));
   }
 
-  config.cancel = &GlobalCancelToken();
-  config.observer = exports.Observer();
+  CorpusOptions options;
+  options.algorithm = algorithm;
+  options.miner = config;
   // --threads fans out whole fragments; each fragment mines serially.
-  const std::int64_t corpus_threads = config.threads;
-  config.threads = 1;
-  PGM_ASSIGN_OR_RETURN(
-      CorpusResult corpus,
-      MineCorpus(plan, CorpusOptionsFor(algorithm, config, corpus_threads)));
+  options.miner.threads = 1;
+  options.corpus_threads = config.threads;
+  options.cancel = &GlobalCancelToken();
+  options.observer = exports.Observer();
+  PGM_ASSIGN_OR_RETURN(CorpusResult corpus, MineCorpus(plan, options));
 
   output->append(StrFormat(
       "corpus: %s; fragment_length=%lld keep_tail=%s; rho_s=%g%%; "

@@ -7,7 +7,7 @@ namespace pgm {
 
 StatusOr<MiningResult> MineAdaptive(const Sequence& sequence,
                                     const MinerConfig& config) {
-  PGM_RETURN_IF_ERROR(internal::ValidateConfig(sequence, config));
+  PGM_RETURN_IF_ERROR(internal::ValidateConfig(sequence, config).status());
   if (config.initial_n < 1) {
     return Status::InvalidArgument("initial_n must be >= 1");
   }

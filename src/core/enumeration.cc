@@ -1,16 +1,13 @@
 #include <algorithm>
 
 #include "core/miner.h"
-#include "util/stopwatch.h"
 
 namespace pgm {
 
 StatusOr<MiningResult> MineEnumeration(const Sequence& sequence,
                                        const MinerConfig& config) {
-  PGM_RETURN_IF_ERROR(internal::ValidateConfig(sequence, config));
   PGM_ASSIGN_OR_RETURN(GapRequirement gap,
-                       GapRequirement::Create(config.min_gap, config.max_gap));
-  Stopwatch watch;
+                       internal::ValidateConfig(sequence, config));
   MiningGuard guard(config.limits, config.cancel);
   internal::ObserverContext ctx(config.observer, "enum",
                                 KernelTierToString(config.kernel_tier));
@@ -28,40 +25,33 @@ StatusOr<MiningResult> MineEnumeration(const Sequence& sequence,
   result.n_used = cap;
   result.guaranteed_complete_up_to = cap;
 
-  std::int64_t last_completed_level = 0;
-  auto finalize = [&]() {
-    internal::SealRun(guard, last_completed_level, ctx, &result);
-    result.total_seconds = result.mining_seconds = watch.ElapsedSeconds();
-  };
-
-  const long double rho = config.min_support_ratio;
-  auto analytic_candidates = [&](std::int64_t length) {
-    return internal::AnalyticCandidateCount(sequence.alphabet().size(),
-                                            length);
-  };
-
   std::int64_t level_length = config.start_length;
   if (level_length > cap) {
-    finalize();
+    internal::SealRun(guard, ctx, &result);
     return result;
   }
   if (!guard.CheckNow()) {
     ctx.GuardTrip(guard.reason(), 0);
-    finalize();
+    internal::SealRun(guard, ctx, &result);
     return result;
   }
 
-  // The enumeration applies no λ relaxation, so every level's relaxed
-  // threshold equals its full one.
-  auto full_threshold_for = [&](std::int64_t length) -> double {
-    return static_cast<double>(rho * counter.Count(length));
+  const long double rho = config.min_support_ratio;
+  const auto candidates = [&](std::int64_t length) {
+    return internal::AnalyticCandidateCount(sequence.alphabet().size(),
+                                            length);
   };
-  // The first level opens in the registry before its construction, so a
-  // budget trip during the builds still reports the level (and its analytic
-  // candidate count) instead of an empty stats vector.
-  ctx.LevelStart(level_length, analytic_candidates(level_length), 1.0,
-                 full_threshold_for(level_length),
-                 full_threshold_for(level_length));
+  // Opens a level of all |Σ|^length patterns. The enumeration applies no λ
+  // relaxation, so its relaxed threshold equals its full one.
+  const auto open_level = [&](std::int64_t length) {
+    const double full_threshold =
+        static_cast<double>(rho * counter.Count(length));
+    ctx.LevelStart(length, candidates(length), 1.0, full_threshold,
+                   full_threshold);
+  };
+  // The first level opens before its construction, so a budget trip during
+  // the builds still reports the level (and its analytic candidate count).
+  open_level(level_length);
 
   // PILs of the length-1 patterns, used to extend levels on the left:
   // PIL(c + P) = Combine(PIL(c), PIL(P)) — valid because `c` is exactly the
@@ -75,59 +65,37 @@ StatusOr<MiningResult> MineEnumeration(const Sequence& sequence,
   internal::BuiltLevel level = internal::BuildAllPatternsOfLength(
       sequence, gap, level_length, &guard, &executor, kernel);
   PilArena spare(&guard);
-  if (guard.stopped()) {
-    ctx.GuardTrip(guard.reason(), level_length);
-    ctx.LevelEnd(level_length, analytic_candidates(level_length), 0, 0, 0,
-                 /*completed=*/false);
-    finalize();
-    return result;
-  }
 
-  bool interrupted = false;
+  // Each pass judges the open level, closes it, and extends it into the
+  // next. A trip in the builds, in an extension or at a level boundary
+  // fails the CheckNow below, so the open level closes cut short with
+  // nothing judged; a trip at the charge or in the judging closes it with
+  // the entries judged so far.
   while (true) {
-    if (!guard.CheckNow()) {
-      ctx.GuardTrip(guard.reason(), level_length);
-      ctx.LevelEnd(level_length, analytic_candidates(level_length), 0, 0, 0,
-                   /*completed=*/false);
-      break;
-    }
-    const long double n_l = counter.Count(level_length);
-    const long double full_threshold = rho * n_l;
-
-    LevelStats stats;
-    stats.length = level_length;
-    stats.num_candidates = analytic_candidates(level_length);
-    std::uint64_t evaluated = 0;
-    if (guard.ChargeLevelCandidates(stats.num_candidates)) {
-      for (std::size_t i = 0; i < level.entries.size(); ++i) {
-        if (!guard.Tick()) {
-          interrupted = true;
-          break;
-        }
-        ++evaluated;
+    if (guard.CheckNow() &&
+        guard.ChargeLevelCandidates(candidates(level_length))) {
+      const long double n_l = counter.Count(level_length);
+      const long double full_threshold = rho * n_l;
+      for (std::size_t i = 0; i < level.entries.size() && guard.Tick(); ++i) {
         const internal::ArenaEntry& entry = level.entries[i];
         const SupportInfo& support = level.supports[i];
-        ctx.ObserveCandidate(support.count, entry.span.bytes());
         // Every entry's PIL is non-empty, and the threshold is positive.
-        if (static_cast<long double>(support.count) >= full_threshold) {
-          ++stats.num_frequent;
+        // Enumeration carries every judged entry forward regardless of
+        // support.
+        const bool frequent =
+            static_cast<long double>(support.count) >= full_threshold;
+        ctx.ObserveCandidate(support.count, entry.span.bytes(), frequent,
+                             /*retained=*/true);
+        if (frequent) {
           PGM_RETURN_IF_ERROR(internal::RecordFrequent(
               entry.symbols, support, n_l, sequence.alphabet(), &result));
         }
       }
-    } else {
-      interrupted = true;
     }
-    // Enumeration carries every matched pattern forward regardless of
-    // support: num_retained reports the carried-forward set size.
-    stats.num_retained = level.entries.size();
-    if (interrupted) ctx.GuardTrip(guard.reason(), level_length);
-    ctx.LevelEnd(level_length, stats.num_candidates, evaluated,
-                 stats.num_frequent, stats.num_retained, !interrupted);
-    if (interrupted) break;
-    last_completed_level = level_length;
-
-    if (level_length >= cap || level.entries.empty()) break;
+    ctx.LevelEnd(guard.reason());
+    if (guard.stopped() || level_length >= cap || level.entries.empty()) {
+      break;
+    }
 
     // Extend every level pattern by every single on the left. The plan
     // indexes (singles, level), singles-major, matching the serial visit
@@ -135,27 +103,12 @@ StatusOr<MiningResult> MineEnumeration(const Sequence& sequence,
     const internal::JoinPlan plan = internal::JoinPlan::CrossProduct(
         static_cast<std::uint32_t>(singles.entries.size()),
         static_cast<std::uint32_t>(level.entries.size()));
-    interrupted = internal::ExtendLevel(singles, plan, gap, kernel, &guard,
-                                        executor, level, spare);
-    if (interrupted) {
-      // The trip happened while building the next level's PILs: record that
-      // level as started-and-cut-short so the candidate totals stay true.
-      const std::int64_t next_length = level_length + 1;
-      ctx.LevelStart(next_length, analytic_candidates(next_length), 1.0,
-                     full_threshold_for(next_length),
-                     full_threshold_for(next_length));
-      ctx.GuardTrip(guard.reason(), next_length);
-      ctx.LevelEnd(next_length, analytic_candidates(next_length), 0, 0, 0,
-                   /*completed=*/false);
-      break;
-    }
-    ++level_length;
-    ctx.LevelStart(level_length, analytic_candidates(level_length), 1.0,
-                   full_threshold_for(level_length),
-                   full_threshold_for(level_length));
+    internal::ExtendLevel(singles, plan, gap, kernel, &guard, executor, level,
+                          spare);
+    open_level(++level_length);
   }
 
-  finalize();
+  internal::SealRun(guard, ctx, &result);
   return result;
 }
 

@@ -81,14 +81,14 @@ StatusOr<MiningResult> Mine(std::string_view algorithm,
 
 namespace internal {
 
-Status ValidateConfig(const Sequence& sequence, const MinerConfig& config) {
+StatusOr<GapRequirement> ValidateConfig(const Sequence& sequence,
+                                        const MinerConfig& config) {
   if (sequence.empty()) {
     return Status::InvalidArgument("subject sequence must not be empty");
   }
   PGM_RETURN_IF_ERROR(ValidateSequenceLength(sequence.size()));
   PGM_ASSIGN_OR_RETURN(GapRequirement gap,
                        GapRequirement::Create(config.min_gap, config.max_gap));
-  (void)gap;  // validation only; the engines re-create their own
   if (!(config.min_support_ratio > 0.0) || config.min_support_ratio > 1.0) {
     return Status::InvalidArgument(
         StrFormat("min_support_ratio must lie in (0, 1], got %g",
@@ -107,7 +107,7 @@ Status ValidateConfig(const Sequence& sequence, const MinerConfig& config) {
         static_cast<long long>(ThreadPool::kMaxThreads),
         static_cast<long long>(config.threads)));
   }
-  return Status::OK();
+  return gap;
 }
 
 std::uint64_t AnalyticCandidateCount(std::size_t alphabet_size,
@@ -223,17 +223,19 @@ Status RecordFrequent(std::string_view symbols, const SupportInfo& support,
   return Status::OK();
 }
 
-void SealRun(const MiningGuard& guard, std::int64_t last_completed_level,
-             ObserverContext& ctx, MiningResult* result) {
+void SealRun(const MiningGuard& guard, ObserverContext& ctx,
+             MiningResult* result) {
   result->termination = guard.reason();
   result->pil_memory_peak_bytes = guard.memory_peak_bytes();
   if (!result->complete()) {
-    result->guaranteed_complete_up_to =
-        std::min(result->guaranteed_complete_up_to, last_completed_level);
+    result->guaranteed_complete_up_to = std::min(
+        result->guaranteed_complete_up_to, ctx.last_completed_level());
   }
   std::sort(result->patterns.begin(), result->patterns.end(),
             PatternOrderLess);
   ctx.Finish(result);
+  result->total_seconds = guard.elapsed_seconds();
+  result->mining_seconds = result->total_seconds - result->em_seconds;
 }
 
 StatusOr<MiningResult> RunLevelwise(const Sequence& sequence,
@@ -243,9 +245,7 @@ StatusOr<MiningResult> RunLevelwise(const Sequence& sequence,
                                     BuiltLevel seed_level, MiningGuard& guard,
                                     ParallelLevelExecutor& executor,
                                     ObserverContext& ctx) {
-  PGM_RETURN_IF_ERROR(ValidateConfig(sequence, config));
-  PGM_ASSIGN_OR_RETURN(GapRequirement gap,
-                       GapRequirement::Create(config.min_gap, config.max_gap));
+  const GapRequirement& gap = counter.gap();
   // One resolution per run: the gap (and so the window width) is fixed, so
   // every level of the run uses the same kernel implementation.
   const KernelImpl kernel = ResolveKernel(config.kernel_tier, gap);
@@ -254,27 +254,21 @@ StatusOr<MiningResult> RunLevelwise(const Sequence& sequence,
   result.n_used = n_effective;
   result.guaranteed_complete_up_to = std::min(n_effective, counter.l1());
 
-  // Last level whose candidates were all processed: on an interrupted run
-  // the completeness guarantee shrinks to this horizon.
-  std::int64_t last_completed_level = 0;
   std::int64_t level_length = config.start_length;
   if (level_length > counter.l2()) {  // no offset sequences at all
-    SealRun(guard, last_completed_level, ctx, &result);
+    SealRun(guard, ctx, &result);
     return result;
   }
   if (!guard.CheckNow()) {
     ctx.GuardTrip(guard.reason(), 0);
-    SealRun(guard, last_completed_level, ctx, &result);
+    SealRun(guard, ctx, &result);
     return result;
   }
 
-  // The open level: its thresholds and its running counts.
+  // The open level's thresholds; its counts live in `ctx`.
   long double n_l = 0.0L;
   long double full_threshold = 0.0L;
   long double relaxed_threshold = 0.0L;
-  LevelStats stats;
-  std::uint64_t evaluated = 0;
-  bool interrupted = false;
   // Opens level `level_length` with `candidates` generated. Its λ factor is
   // Theorem 1's λ_{n,n-l} for l <= n and 1 beyond (algorithm lines 4-7).
   auto open_level = [&](std::uint64_t candidates) {
@@ -285,35 +279,26 @@ StatusOr<MiningResult> RunLevelwise(const Sequence& sequence,
     n_l = counter.Count(level_length);
     full_threshold = static_cast<long double>(config.min_support_ratio) * n_l;
     relaxed_threshold = lambda * full_threshold;
-    stats = LevelStats{level_length, candidates, 0, 0};
-    evaluated = 0;
     ctx.LevelStart(level_length, candidates, static_cast<double>(lambda),
                    static_cast<double>(full_threshold),
                    static_cast<double>(relaxed_threshold));
   };
-  auto close_level = [&] {
-    if (interrupted) ctx.GuardTrip(guard.reason(), level_length);
-    ctx.LevelEnd(level_length, stats.num_candidates, evaluated,
-                 stats.num_frequent, stats.num_retained, !interrupted);
-    if (!interrupted) last_completed_level = level_length;
-  };
-  // Judges one candidate of the open level. An empty candidate is never
-  // kept: λ can be 0, and zero support would then clear the relaxed
-  // threshold.
+  // Judges one candidate of the open level and counts it there. An empty
+  // candidate is never kept: λ can be 0, and zero support would then clear
+  // the relaxed threshold.
   struct Verdict {
     bool frequent = false;
     bool retain = false;
   };
   auto judge = [&](const SupportInfo& support, const PilSpan& span) {
-    ++evaluated;
-    ctx.ObserveCandidate(support.count, span.bytes());
     Verdict verdict;
-    if (support.count == 0) return verdict;
-    const long double count = static_cast<long double>(support.count);
-    verdict.frequent = count >= full_threshold;
-    verdict.retain = count >= relaxed_threshold;
-    if (verdict.frequent) ++stats.num_frequent;
-    if (verdict.retain) ++stats.num_retained;
+    if (support.count > 0) {
+      const long double count = static_cast<long double>(support.count);
+      verdict.frequent = count >= full_threshold;
+      verdict.retain = count >= relaxed_threshold;
+    }
+    ctx.ObserveCandidate(support.count, span.bytes(), verdict.frequent,
+                         verdict.retain);
     return verdict;
   };
 
@@ -329,11 +314,13 @@ StatusOr<MiningResult> RunLevelwise(const Sequence& sequence,
   std::vector<ArenaEntry> retained;
 
   // First level: all |Σ|^start_length patterns (counted as candidates even
-  // when their PIL turned out empty). The level opens in the registry
-  // before the build, so a trip during construction still reports the level
-  // it was working on. A non-empty seed was built (and memory-charged) by
-  // the caller against the same guard.
-  open_level(AnalyticCandidateCount(sequence.alphabet().size(), level_length));
+  // when their PIL turned out empty). The level opens before the build, so
+  // a trip during construction still reports the level it was working on.
+  // A non-empty seed was built (and memory-charged) by the caller against
+  // the same guard.
+  const std::uint64_t first_candidates =
+      AnalyticCandidateCount(sequence.alphabet().size(), level_length);
+  open_level(first_candidates);
   BuiltLevel first_level =
       seed_level.entries.empty()
           ? BuildAllPatternsOfLength(sequence, gap, level_length, &guard,
@@ -341,14 +328,10 @@ StatusOr<MiningResult> RunLevelwise(const Sequence& sequence,
           : std::move(seed_level);
   assert(first_level.supports.size() == first_level.entries.size());
   // A trip during the build or at the candidate charge ends the run here.
-  interrupted =
-      guard.stopped() || !guard.ChargeLevelCandidates(stats.num_candidates);
-  for (std::size_t i = 0; !interrupted && i < first_level.entries.size();
-       ++i) {
-    if (!guard.Tick()) {
-      interrupted = true;
-      break;
-    }
+  const bool charged =
+      !guard.stopped() && guard.ChargeLevelCandidates(first_candidates);
+  for (std::size_t i = 0; charged && i < first_level.entries.size(); ++i) {
+    if (!guard.Tick()) break;
     ArenaEntry& entry = first_level.entries[i];
     const SupportInfo& support = first_level.supports[i];
     const Verdict verdict = judge(support, entry.span);
@@ -361,9 +344,9 @@ StatusOr<MiningResult> RunLevelwise(const Sequence& sequence,
   // Retained spans stay valid: the whole first-level arena becomes the
   // loop's source side.
   arenas[cur] = std::move(first_level.arena);
-  close_level();
+  ctx.LevelEnd(guard.reason());
 
-  while (!interrupted && !retained.empty() &&
+  while (!guard.stopped() && !retained.empty() &&
          (config.max_length < 0 || level_length < config.max_length) &&
          level_length + 1 <= counter.l2()) {
     if (!guard.CheckNow()) {
@@ -377,7 +360,7 @@ StatusOr<MiningResult> RunLevelwise(const Sequence& sequence,
     PilArena& src = arenas[cur];
     PilArena& dst = arenas[cur ^ 1];
     std::vector<ArenaEntry> next_retained;
-    if (guard.ChargeLevelCandidates(stats.num_candidates)) {
+    if (guard.ChargeLevelCandidates(plan.num_candidates())) {
       auto sink = [&](const JoinedCandidate& candidate) -> Status {
         const Verdict verdict = judge(candidate.support, candidate.span);
         if (!verdict.frequent && !verdict.retain) return Status::OK();
@@ -395,22 +378,21 @@ StatusOr<MiningResult> RunLevelwise(const Sequence& sequence,
         }
         return Status::OK();
       };
+      bool interrupted = false;
       dst.BeginScratch();
       const Status join_status =
           executor.ExecuteJoin(retained, src, retained, src, plan, gap, kernel,
                                &guard, dst, sink, &interrupted);
       dst.EndScratch();
       PGM_RETURN_IF_ERROR(join_status);
-    } else {
-      interrupted = true;
     }
     retained = std::move(next_retained);
     src.Clear();
     cur ^= 1;
-    close_level();
+    ctx.LevelEnd(guard.reason());
   }
 
-  SealRun(guard, last_completed_level, ctx, &result);
+  SealRun(guard, ctx, &result);
   return result;
 }
 

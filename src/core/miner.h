@@ -112,10 +112,9 @@ struct FrequentPattern {
 static_assert(std::is_nothrow_move_constructible_v<FrequentPattern>);
 
 /// Per-level candidate accounting (the raw material of the paper's Table 3).
-/// A view derived from the run's metrics registry at finish time: the
-/// engines record per-level counters as they mine and this struct is read
-/// back from them, so it agrees with any attached MetricsRegistry by
-/// construction.
+/// Read out of the run's level table (internal::ObserverContext) when the
+/// run is sealed; the per-level metrics counters come from the same table,
+/// so the two agree by construction.
 struct LevelStats {
   /// Pattern length of the level.
   std::int64_t length = 0;
@@ -146,9 +145,8 @@ struct MiningResult {
   std::int64_t guaranteed_complete_up_to = 0;
   /// Length of the longest frequent pattern found (0 when none).
   std::int64_t longest_frequent_length = 0;
-  /// Total candidates across levels. Derived from the run's metrics
-  /// registry, so it equals the (saturating) sum of
-  /// LevelStats::num_candidates and includes the level a budget trip cut
+  /// Total candidates across levels: the (saturating) sum of
+  /// LevelStats::num_candidates, including the level a budget trip cut
   /// short — partial runs report the true count of generated candidates.
   std::uint64_t total_candidates = 0;
 
@@ -241,8 +239,10 @@ namespace internal {
 // ArenaEntry, BuiltLevel, JoinPlan (core/candidate_index.h) and the
 // ParallelLevelExecutor (core/parallel.h) are re-exported here.
 
-/// Validates the shared configuration fields against the sequence.
-Status ValidateConfig(const Sequence& sequence, const MinerConfig& config);
+/// Validates the shared configuration fields against the sequence and
+/// returns the run's gap requirement.
+StatusOr<GapRequirement> ValidateConfig(const Sequence& sequence,
+                                        const MinerConfig& config);
 
 /// |Σ|^length, saturating at kSaturatedCount: the candidate count of a level
 /// that generates every pattern of its length (a level-wise run's first
@@ -287,15 +287,18 @@ Status RecordFrequent(std::string_view symbols, const SupportInfo& support,
                       MiningResult* result);
 
 /// Seals a run: records why it stopped and its PIL peak, shrinks the
-/// completeness horizon to `last_completed_level` when the run was cut
-/// short, puts the patterns in PatternOrderLess order, and lets `ctx`
-/// derive the level stats (ObserverContext::Finish).
-void SealRun(const MiningGuard& guard, std::int64_t last_completed_level,
-             ObserverContext& ctx, MiningResult* result);
+/// completeness horizon to ctx.last_completed_level() when the run was cut
+/// short, puts the patterns in PatternOrderLess order, lets `ctx` derive
+/// the level stats (ObserverContext::Finish), and reads the run's time off
+/// the guard's clock: total_seconds, and mining_seconds as total_seconds
+/// minus result->em_seconds.
+void SealRun(const MiningGuard& guard, ObserverContext& ctx,
+             MiningResult* result);
 
-/// The shared level-wise engine behind MPP and MPPm. `n_effective` is the
-/// (already clamped) n; `seed_level` may carry a precomputed first level to
-/// avoid duplicate work (pass a default-constructed BuiltLevel to build
+/// The shared level-wise engine behind MPP and MPPm. `config` must have
+/// passed ValidateConfig, and `counter` carries its gap. `n_effective` is
+/// the (already clamped) n; `seed_level` may carry a precomputed first level
+/// to avoid duplicate work (pass a default-constructed BuiltLevel to build
 /// internally — non-empty seeds must be backed by arenas charged against
 /// `guard`, with one support per entry). The guard is checked at every
 /// level boundary and ticked per PIL extension; when it trips, the engine
@@ -304,8 +307,8 @@ void SealRun(const MiningGuard& guard, std::int64_t last_completed_level,
 /// engine's arenas release their charges when they go out of scope, so on
 /// every exit the guard's ledger returns to whatever the caller's
 /// outstanding charges are. `executor` runs the level joins and `ctx` is
-/// the caller's recording context; the engine calls ctx.Finish, which
-/// derives the result's LevelStats/total_candidates from the run registry.
+/// the caller's recording context; the engine reports each level into it
+/// and seals the run (SealRun).
 StatusOr<MiningResult> RunLevelwise(const Sequence& sequence,
                                     const MinerConfig& config,
                                     const OffsetCounter& counter,

@@ -1,16 +1,11 @@
-#include <algorithm>
-
 #include "core/miner.h"
-#include "util/stopwatch.h"
 
 namespace pgm {
 
 StatusOr<MiningResult> MineMpp(const Sequence& sequence,
                                const MinerConfig& config) {
-  PGM_RETURN_IF_ERROR(internal::ValidateConfig(sequence, config));
   PGM_ASSIGN_OR_RETURN(GapRequirement gap,
-                       GapRequirement::Create(config.min_gap, config.max_gap));
-  Stopwatch watch;
+                       internal::ValidateConfig(sequence, config));
   MiningGuard guard(config.limits, config.cancel);
   internal::ObserverContext ctx(config.observer, "mpp",
                                 KernelTierToString(config.kernel_tier));
@@ -23,13 +18,8 @@ StatusOr<MiningResult> MineMpp(const Sequence& sequence,
   std::int64_t n = config.user_n;
   if (n < 0 || n > counter.l1()) n = counter.l1();
 
-  PGM_ASSIGN_OR_RETURN(
-      MiningResult result,
-      internal::RunLevelwise(sequence, config, counter, n,
-                             internal::BuiltLevel{}, guard, executor, ctx));
-  result.mining_seconds = watch.ElapsedSeconds();
-  result.total_seconds = result.mining_seconds;
-  return result;
+  return internal::RunLevelwise(sequence, config, counter, n,
+                                internal::BuiltLevel{}, guard, executor, ctx);
 }
 
 }  // namespace pgm

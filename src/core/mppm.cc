@@ -8,10 +8,8 @@ namespace pgm {
 
 StatusOr<MiningResult> MineMppm(const Sequence& sequence,
                                 const MinerConfig& config) {
-  PGM_RETURN_IF_ERROR(internal::ValidateConfig(sequence, config));
   PGM_ASSIGN_OR_RETURN(GapRequirement gap,
-                       GapRequirement::Create(config.min_gap, config.max_gap));
-  Stopwatch total_watch;
+                       internal::ValidateConfig(sequence, config));
   MiningGuard guard(config.limits, config.cancel);
   internal::ObserverContext ctx(config.observer, "mppm",
                                 KernelTierToString(config.kernel_tier));
@@ -24,8 +22,7 @@ StatusOr<MiningResult> MineMppm(const Sequence& sequence,
   if (!guard.CheckNow()) {
     ctx.GuardTrip(guard.reason(), 0);
     MiningResult result;
-    internal::SealRun(guard, /*last_completed_level=*/0, ctx, &result);
-    result.total_seconds = total_watch.ElapsedSeconds();
+    internal::SealRun(guard, ctx, &result);
     return result;
   }
 
@@ -56,19 +53,16 @@ StatusOr<MiningResult> MineMppm(const Sequence& sequence,
     // with its analytic |Σ|^s candidate count (n is not yet estimated, so
     // no λ relaxation applies) so the partial result reports the true
     // candidate total instead of zero.
-    const std::uint64_t analytic =
-        internal::AnalyticCandidateCount(sequence.alphabet().size(), s);
     const double full_threshold = static_cast<double>(
         static_cast<long double>(config.min_support_ratio) * counter.Count(s));
-    ctx.LevelStart(s, analytic, 1.0, full_threshold, full_threshold);
-    ctx.GuardTrip(guard.reason(), s);
-    ctx.LevelEnd(s, analytic, 0, 0, 0, /*completed=*/false);
+    ctx.LevelStart(
+        s, internal::AnalyticCandidateCount(sequence.alphabet().size(), s),
+        1.0, full_threshold, full_threshold);
+    ctx.LevelEnd(guard.reason());
     MiningResult result;
-    internal::SealRun(guard, /*last_completed_level=*/0, ctx, &result);
     result.em = em_result.em;
     result.em_seconds = em_seconds;
-    result.total_seconds = total_watch.ElapsedSeconds();
-    result.mining_seconds = result.total_seconds - em_seconds;
+    internal::SealRun(guard, ctx, &result);
     return result;
   }
   std::uint64_t max_support = 0;
@@ -100,7 +94,6 @@ StatusOr<MiningResult> MineMppm(const Sequence& sequence,
   result.em = em_result.em;
   result.estimated_n = n;
   result.em_seconds = em_seconds;
-  result.total_seconds = total_watch.ElapsedSeconds();
   result.mining_seconds = result.total_seconds - em_seconds;
   return result;
 }

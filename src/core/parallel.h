@@ -122,8 +122,8 @@ class ParallelLevelExecutor {
 
   /// Data-parallel loop over [0, n) on this executor's pool (inline when
   /// serial): ThreadPool::ParallelFor with its disjoint-writes discipline.
-  /// The serial phases of the level loop — first-level construction,
-  /// candidate-generation probing, support thresholding — run through this.
+  /// Its one user is JoinPlan::SelfJoin's probe, which looks up each
+  /// entry's suffix among the level's prefix groups (core/candidate_index.h).
   void ParallelFor(std::size_t n, std::size_t grain,
                    const std::function<void(std::size_t, std::size_t)>& fn);
 

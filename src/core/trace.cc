@@ -66,6 +66,15 @@ namespace {
 /// the same bit pattern, which is all the determinism contract needs.
 std::string JsonDouble(double value) { return StrFormat("%.17g", value); }
 
+/// A quoted JSON string: record ids, job algorithms and the like come from
+/// the user, so every string field is escaped.
+std::string JsonString(const std::string& value) {
+  std::string quoted = "\"";
+  quoted += EscapeJson(value);
+  quoted += '"';
+  return quoted;
+}
+
 void AppendEventJson(const TraceEvent& event, bool include_volatile,
                      std::string* out) {
   out->append("{\"kind\": \"");
@@ -73,8 +82,8 @@ void AppendEventJson(const TraceEvent& event, bool include_volatile,
   out->append("\"");
   switch (event.kind) {
     case TraceEventKind::kRunStart:
-      out->append(", \"algorithm\": \"" + event.detail + "\"");
-      out->append(", \"kernel_tier\": \"" + event.kernel_tier + "\"");
+      out->append(", \"algorithm\": " + JsonString(event.detail));
+      out->append(", \"kernel_tier\": " + JsonString(event.kernel_tier));
       break;
     case TraceEventKind::kLevelStart:
       out->append(", \"level\": " + std::to_string(event.level));
@@ -97,7 +106,7 @@ void AppendEventJson(const TraceEvent& event, bool include_volatile,
       break;
     case TraceEventKind::kGuardTrip:
       out->append(", \"level\": " + std::to_string(event.level));
-      out->append(", \"reason\": \"" + event.detail + "\"");
+      out->append(", \"reason\": " + JsonString(event.detail));
       break;
     case TraceEventKind::kEstimate:
       out->append(", \"em\": " + std::to_string(event.em));
@@ -110,14 +119,14 @@ void AppendEventJson(const TraceEvent& event, bool include_volatile,
       // The resolved kernel implementation is deterministic given the
       // config, so unlike the timing fields it is not include_volatile
       // business — it prints whenever the event itself does.
-      out->append(", \"kernel_tier\": \"" + event.kernel_tier + "\"");
+      out->append(", \"kernel_tier\": " + JsonString(event.kernel_tier));
       out->append(", \"seconds\": " + JsonDouble(event.seconds));
       out->append(", \"fill_seconds\": " + JsonDouble(event.fill_seconds));
       out->append(", \"merge_seconds\": " + JsonDouble(event.merge_seconds));
       out->append(", \"stall_seconds\": " + JsonDouble(event.stall_seconds));
       break;
     case TraceEventKind::kRunEnd:
-      out->append(", \"reason\": \"" + event.detail + "\"");
+      out->append(", \"reason\": " + JsonString(event.detail));
       out->append(", \"patterns\": " + std::to_string(event.patterns));
       out->append(", \"levels\": " + std::to_string(event.levels));
       if (include_volatile) {
@@ -135,24 +144,24 @@ void AppendEventJson(const TraceEvent& event, bool include_volatile,
       break;
     case TraceEventKind::kJobStart:
       out->append(", \"job\": " + std::to_string(event.job));
-      out->append(", \"algorithm\": \"" + event.detail + "\"");
+      out->append(", \"algorithm\": " + JsonString(event.detail));
       break;
     case TraceEventKind::kJobEnd:
       out->append(", \"job\": " + std::to_string(event.job));
-      out->append(", \"reason\": \"" + event.detail + "\"");
+      out->append(", \"reason\": " + JsonString(event.detail));
       out->append(event.cache_hit ? ", \"cache_hit\": true"
                                   : ", \"cache_hit\": false");
       out->append(", \"patterns\": " + std::to_string(event.patterns));
       break;
     case TraceEventKind::kFragmentStart:
       out->append(", \"fragment\": " + std::to_string(event.fragment));
-      out->append(", \"record\": \"" + event.detail + "\"");
+      out->append(", \"record\": " + JsonString(event.detail));
       out->append(", \"offset\": " + std::to_string(event.offset));
       out->append(", \"length\": " + std::to_string(event.candidates));
       break;
     case TraceEventKind::kFragmentEnd:
       out->append(", \"fragment\": " + std::to_string(event.fragment));
-      out->append(", \"reason\": \"" + event.detail + "\"");
+      out->append(", \"reason\": " + JsonString(event.detail));
       out->append(", \"patterns\": " + std::to_string(event.patterns));
       break;
   }
@@ -205,14 +214,8 @@ std::vector<std::uint64_t> PilBytesBounds() {
 ObserverContext::ObserverContext(const MiningObserver* observer,
                                  const char* algorithm,
                                  const char* kernel_tier)
-    : user_metrics_(observer == nullptr ? nullptr : observer->metrics),
+    : metrics_(observer == nullptr ? nullptr : observer->metrics),
       trace_(observer == nullptr ? nullptr : observer->trace) {
-  if (user_metrics_ != nullptr) {
-    support_histogram_ =
-        run_metrics_.GetHistogram("mine.candidate.support", SupportBounds());
-    pil_bytes_histogram_ = run_metrics_.GetHistogram("mine.candidate.pil_bytes",
-                                                     PilBytesBounds());
-  }
   if (trace_ != nullptr) {
     TraceEvent event;
     event.kind = TraceEventKind::kRunStart;
@@ -222,13 +225,26 @@ ObserverContext::ObserverContext(const MiningObserver* observer,
   }
 }
 
+void ObserverContext::OpenHistograms() {
+  if (metrics_ == nullptr || support_histogram_ != nullptr) return;
+  support_histogram_ =
+      metrics_->GetHistogram("mine.candidate.support", SupportBounds());
+  pil_bytes_histogram_ =
+      metrics_->GetHistogram("mine.candidate.pil_bytes", PilBytesBounds());
+}
+
+void ObserverContext::Count(const std::string& name, std::uint64_t value) {
+  if (metrics_ != nullptr && value > 0) metrics_->GetCounter(name)->Add(value);
+}
+
 void ObserverContext::LevelStart(std::int64_t length, std::uint64_t candidates,
                                  double lambda, double full_threshold,
                                  double relaxed_threshold) {
-  levels_.push_back(length);
-  run_metrics_.GetCounter("mine.levels.started")->Increment();
-  run_metrics_.GetCounter("mine.candidates.generated")->Add(candidates);
-  run_metrics_.GetCounter(LevelKey(length, "candidates"))->Add(candidates);
+  OpenHistograms();
+  Level level;
+  level.length = length;
+  level.candidates = candidates;
+  levels_.push_back(level);
   if (trace_ != nullptr) {
     TraceEvent event;
     event.kind = TraceEventKind::kLevelStart;
@@ -241,40 +257,28 @@ void ObserverContext::LevelStart(std::int64_t length, std::uint64_t candidates,
   }
 }
 
-void ObserverContext::LevelEnd(std::int64_t length, std::uint64_t candidates,
-                               std::uint64_t evaluated, std::uint64_t frequent,
-                               std::uint64_t retained, bool completed) {
-  const std::uint64_t pruned = candidates - retained;
-  run_metrics_.GetCounter("mine.candidates.evaluated")->Add(evaluated);
-  run_metrics_.GetCounter("mine.candidates.frequent")->Add(frequent);
-  run_metrics_.GetCounter("mine.candidates.retained")->Add(retained);
-  run_metrics_.GetCounter("mine.candidates.pruned")->Add(pruned);
-  run_metrics_.GetCounter(LevelKey(length, "evaluated"))->Add(evaluated);
-  run_metrics_.GetCounter(LevelKey(length, "frequent"))->Add(frequent);
-  run_metrics_.GetCounter(LevelKey(length, "retained"))->Add(retained);
-  if (completed) {
-    run_metrics_.GetCounter("mine.levels.completed")->Increment();
-  }
+void ObserverContext::LevelEnd(TerminationReason reason) {
+  Level& level = levels_.back();
+  level.completed = reason == TerminationReason::kCompleted;
+  if (!level.completed) GuardTrip(reason, level.length);
   if (trace_ != nullptr) {
     TraceEvent event;
     event.kind = TraceEventKind::kLevelEnd;
-    event.level = length;
-    event.candidates = candidates;
-    event.evaluated = evaluated;
-    event.frequent = frequent;
-    event.retained = retained;
-    event.pruned = pruned;
-    event.completed = completed;
+    event.level = level.length;
+    event.candidates = level.candidates;
+    event.evaluated = level.evaluated;
+    event.frequent = level.frequent;
+    event.retained = level.retained;
+    event.pruned = level.candidates - level.retained;
+    event.completed = level.completed;
     trace_->Append(std::move(event));
   }
 }
 
 void ObserverContext::GuardTrip(TerminationReason reason, std::int64_t level) {
-  run_metrics_.GetCounter("mine.guard.trips")->Increment();
-  run_metrics_
-      .GetCounter(std::string("mine.guard.trips.") +
-                  TerminationReasonToString(reason))
-      ->Increment();
+  Count("mine.guard.trips", 1);
+  Count(std::string("mine.guard.trips.") + TerminationReasonToString(reason),
+        1);
   if (trace_ != nullptr) {
     TraceEvent event;
     event.kind = TraceEventKind::kGuardTrip;
@@ -287,10 +291,12 @@ void ObserverContext::GuardTrip(TerminationReason reason, std::int64_t level) {
 void ObserverContext::Estimate(std::uint64_t em,
                                std::uint64_t em_starts_searched,
                                std::int64_t estimated_n) {
-  run_metrics_.GetGauge("mine.last.em")->Set(static_cast<std::int64_t>(em));
-  run_metrics_.GetGauge("mine.last.em_starts_searched")
-      ->Set(static_cast<std::int64_t>(em_starts_searched));
-  run_metrics_.GetGauge("mine.last.estimated_n")->Set(estimated_n);
+  if (metrics_ != nullptr) {
+    metrics_->GetGauge("mine.last.em")->Set(static_cast<std::int64_t>(em));
+    metrics_->GetGauge("mine.last.em_starts_searched")
+        ->Set(static_cast<std::int64_t>(em_starts_searched));
+    metrics_->GetGauge("mine.last.estimated_n")->Set(estimated_n);
+  }
   if (trace_ != nullptr) {
     TraceEvent event;
     event.kind = TraceEventKind::kEstimate;
@@ -320,40 +326,52 @@ void ObserverContext::ShardTiming(std::int64_t level,
   trace_->Append(std::move(event));
 }
 
+std::int64_t ObserverContext::last_completed_level() const {
+  for (auto it = levels_.rbegin(); it != levels_.rend(); ++it) {
+    if (it->completed) return it->length;
+  }
+  return 0;
+}
+
 void ObserverContext::Finish(MiningResult* result) {
   if (finished_) return;
   finished_ = true;
+  OpenHistograms();
 
-  // The registry is authoritative: LevelStats is re-derived as a view of
-  // the per-level counters, and total_candidates as their (saturating) sum,
-  // so a run the guard cut mid-level still reports the level it was working
-  // on — the counts were recorded at LevelStart, before any evaluation.
+  // A run the guard cut mid-level still reports the level it was working
+  // on: the level entered the table at LevelStart, before any evaluation.
   result->level_stats.clear();
   result->level_stats.reserve(levels_.size());
   std::uint64_t total = 0;
-  for (std::int64_t length : levels_) {
-    LevelStats stats;
-    stats.length = length;
-    stats.num_candidates =
-        run_metrics_.CounterValue(LevelKey(length, "candidates"));
-    stats.num_frequent =
-        run_metrics_.CounterValue(LevelKey(length, "frequent"));
-    stats.num_retained =
-        run_metrics_.CounterValue(LevelKey(length, "retained"));
-    total = SatAdd(total, stats.num_candidates);
-    result->level_stats.push_back(stats);
+  for (const Level& level : levels_) {
+    result->level_stats.push_back(
+        LevelStats{level.length, level.candidates, level.frequent,
+                   level.retained});
+    total = SatAdd(total, level.candidates);
+    if (metrics_ == nullptr) continue;
+    Count("mine.levels.started", 1);
+    Count("mine.levels.completed", level.completed ? 1 : 0);
+    Count("mine.candidates.generated", level.candidates);
+    Count("mine.candidates.evaluated", level.evaluated);
+    Count("mine.candidates.frequent", level.frequent);
+    Count("mine.candidates.retained", level.retained);
+    Count("mine.candidates.pruned", level.candidates - level.retained);
+    Count(LevelKey(level.length, "candidates"), level.candidates);
+    Count(LevelKey(level.length, "evaluated"), level.evaluated);
+    Count(LevelKey(level.length, "frequent"), level.frequent);
+    Count(LevelKey(level.length, "retained"), level.retained);
   }
   result->total_candidates = total;
 
-  run_metrics_.GetCounter("mine.runs")->Increment();
-  run_metrics_.GetCounter("mine.patterns.emitted")
-      ->Add(result->patterns.size());
-  run_metrics_.GetGauge("mine.last.n_used")->Set(result->n_used);
-  run_metrics_.GetGauge("mine.last.guaranteed_complete_up_to")
-      ->Set(result->guaranteed_complete_up_to);
-  run_metrics_.GetGauge("mine.last.longest_frequent_length")
-      ->Set(result->longest_frequent_length);
-
+  if (metrics_ != nullptr) {
+    Count("mine.runs", 1);
+    Count("mine.patterns.emitted", result->patterns.size());
+    metrics_->GetGauge("mine.last.n_used")->Set(result->n_used);
+    metrics_->GetGauge("mine.last.guaranteed_complete_up_to")
+        ->Set(result->guaranteed_complete_up_to);
+    metrics_->GetGauge("mine.last.longest_frequent_length")
+        ->Set(result->longest_frequent_length);
+  }
   if (trace_ != nullptr) {
     TraceEvent event;
     event.kind = TraceEventKind::kRunEnd;
@@ -363,7 +381,6 @@ void ObserverContext::Finish(MiningResult* result) {
     event.memory_bytes = result->pil_memory_peak_bytes;
     trace_->Append(std::move(event));
   }
-  if (user_metrics_ != nullptr) user_metrics_->MergeFrom(run_metrics_);
 }
 
 }  // namespace internal

@@ -171,13 +171,15 @@ namespace internal {
 
 /// Per-run recording context the engines thread through their level loops.
 ///
-/// The context always owns a private MetricsRegistry — the single source of
-/// truth from which Finish() derives MiningResult::level_stats and
-/// total_candidates — and mirrors it into the user's registry at Finish.
-/// All methods except ObserveCandidate run in the engines' serial sections,
-/// so the recorded values are independent of the thread count; the
-/// per-candidate histograms are skipped entirely unless a user metrics
-/// registry is attached, keeping the null-observer hot path to one branch.
+/// The context keeps the run's one level table: LevelStart opens a level,
+/// ObserveCandidate counts each judged candidate into it, LevelEnd closes it,
+/// and Finish derives MiningResult::level_stats and total_candidates from the
+/// table. Counters and gauges go straight into the attached registry; a
+/// counter that would end the run at 0 is not created. All methods run in
+/// the engines' serial sections, so the recorded values are independent of
+/// the thread count; the per-candidate histograms are skipped entirely
+/// unless a metrics registry is attached, keeping the null-observer hot path
+/// to the table update and one branch.
 class ObserverContext {
  public:
   /// `observer` may be null (the null-observer fast path); `algorithm` names
@@ -191,27 +193,33 @@ class ObserverContext {
   ObserverContext(const ObserverContext&) = delete;
   ObserverContext& operator=(const ObserverContext&) = delete;
 
-  /// A level's candidate set is fixed; records the generated count and the
-  /// thresholds, and opens the level in the registry.
+  /// Opens level `length` with `candidates` generated and records the
+  /// thresholds it will apply.
   void LevelStart(std::int64_t length, std::uint64_t candidates,
                   double lambda, double full_threshold,
                   double relaxed_threshold);
 
-  /// One candidate evaluated (support counted). Hot path: a no-op branch
-  /// unless a metrics registry is attached.
-  void ObserveCandidate(std::uint64_t support, std::uint64_t pil_bytes) {
+  /// Counts one judged candidate into the open level: `frequent` when it met
+  /// the full threshold, `retained` when it seeds the next level. Hot path:
+  /// the histograms cost one branch unless a metrics registry is attached.
+  void ObserveCandidate(std::uint64_t support, std::uint64_t pil_bytes,
+                        bool frequent, bool retained) {
+    Level& level = levels_.back();
+    ++level.evaluated;
+    level.frequent += frequent ? 1 : 0;
+    level.retained += retained ? 1 : 0;
     if (support_histogram_ == nullptr) return;
     support_histogram_->Observe(support);
     pil_bytes_histogram_->Observe(pil_bytes);
   }
 
-  /// Closes a level. `completed` is false when the guard cut it short.
-  void LevelEnd(std::int64_t length, std::uint64_t candidates,
-                std::uint64_t evaluated, std::uint64_t frequent,
-                std::uint64_t retained, bool completed);
+  /// Closes the open level with the guard's `reason`: kCompleted closes it
+  /// as completed; any other reason records a guard trip at that level and
+  /// closes it cut short.
+  void LevelEnd(TerminationReason reason);
 
-  /// The guard latched `reason` while working on `level` (0 = before any
-  /// level started).
+  /// The guard latched `reason` while no level was open: on arrival
+  /// (`level` 0) or between levels (`level` is the last one closed).
   void GuardTrip(TerminationReason reason, std::int64_t level);
 
   /// MPPm's n-estimation outcome. `em_starts_searched` (how many start
@@ -233,21 +241,40 @@ class ObserverContext {
                    double fill_seconds, double merge_seconds,
                    double stall_seconds);
 
+  /// Length of the last level closed as completed (0 = none): on a run cut
+  /// short, the completeness horizon.
+  std::int64_t last_completed_level() const;
+
   /// Seals the run: derives result->level_stats and total_candidates from
-  /// the run registry, records the run gauges and the kRunEnd event, and
-  /// mirrors the run registry into the user's. Idempotent.
+  /// the level table, records the level and run counters, the run gauges and
+  /// the kRunEnd event. Idempotent.
   void Finish(MiningResult* result);
 
-  /// The run-private registry (authoritative for this run's counts).
-  const MetricsRegistry& run_metrics() const { return run_metrics_; }
-
  private:
-  MetricsRegistry* user_metrics_ = nullptr;
+  /// One row of the level table: Table 3's |C_l|, |L_l| and |L̂_l| plus the
+  /// candidates judged and whether the level ran to its end.
+  struct Level {
+    std::int64_t length = 0;
+    std::uint64_t candidates = 0;
+    std::uint64_t evaluated = 0;
+    std::uint64_t frequent = 0;
+    std::uint64_t retained = 0;
+    bool completed = false;
+  };
+
+  /// Registers the candidate histograms in the attached registry at the
+  /// first LevelStart or at Finish, so a run that fails before either leaves
+  /// the registry untouched.
+  void OpenHistograms();
+  /// Adds `value` to the attached registry's named counter, creating it
+  /// only when non-zero.
+  void Count(const std::string& name, std::uint64_t value);
+
+  MetricsRegistry* metrics_ = nullptr;
   MiningTrace* trace_ = nullptr;
-  MetricsRegistry run_metrics_;
   Histogram* support_histogram_ = nullptr;   // null = histograms disabled
   Histogram* pil_bytes_histogram_ = nullptr;
-  std::vector<std::int64_t> levels_;  // lengths, in LevelStart order
+  std::vector<Level> levels_;  // in LevelStart order; the back one is open
   bool finished_ = false;
 };
 

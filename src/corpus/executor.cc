@@ -58,24 +58,6 @@ MiningResult CorpusResult::ToMiningResult() const {
   return result;
 }
 
-CorpusOptions CorpusOptionsFor(const std::string& algorithm,
-                               const MinerConfig& config,
-                               std::int64_t corpus_threads) {
-  CorpusOptions options;
-  options.algorithm = algorithm;
-  options.miner = config;
-  options.miner.cancel = nullptr;
-  options.miner.observer = nullptr;
-  options.miner.limits = ResourceLimits{};
-  options.miner.limits.pil_memory_budget_bytes =
-      config.limits.pil_memory_budget_bytes;
-  options.limits = config.limits;
-  options.corpus_threads = corpus_threads;
-  options.cancel = config.cancel;
-  options.observer = config.observer;
-  return options;
-}
-
 StatusOr<CorpusResult> MineCorpus(const CorpusPlan& plan,
                                   const CorpusOptions& options) {
   if (plan.fragments().empty()) {
@@ -104,10 +86,14 @@ StatusOr<CorpusResult> MineCorpus(const CorpusPlan& plan,
   // The corpus guard: deadline/cancellation polled at every fragment
   // pickup, per-fragment candidate totals charged against the corpus-level
   // caps as fragments finish (max_level_candidates caps one fragment,
-  // max_total_candidates the accumulated corpus).
-  ResourceLimits corpus_limits = options.limits;
-  corpus_limits.pil_memory_budget_bytes = 0;  // per-fragment (miner.limits)
+  // max_total_candidates the accumulated corpus). Each fragment runs with
+  // only the PIL budget and the remaining corpus deadline.
+  const ResourceLimits& limits = options.miner.limits;
+  ResourceLimits corpus_limits = limits;
+  corpus_limits.pil_memory_budget_bytes = 0;
   MiningGuard corpus_guard(corpus_limits, options.cancel);
+  ResourceLimits fragment_limits;
+  fragment_limits.pil_memory_budget_bytes = limits.pil_memory_budget_bytes;
 
   std::vector<Slot> slots(fragments.size());
   for (std::size_t i = 0; i < fragments.size(); ++i) {
@@ -155,17 +141,14 @@ StatusOr<CorpusResult> MineCorpus(const CorpusPlan& plan,
       MinerConfig config = options.miner;
       config.observer = observing ? &slot.observer : nullptr;
       config.cancel = options.cancel;
-      if (options.limits.deadline_ms > 0) {
-        // The remaining corpus deadline clamps each fragment's own, so one
+      config.limits = fragment_limits;
+      if (limits.deadline_ms > 0) {
+        // The remaining corpus deadline is the fragment's own, so one
         // fragment cannot overshoot the corpus budget on its own.
         const std::int64_t elapsed_ms =
             static_cast<std::int64_t>(corpus_guard.elapsed_seconds() * 1000.0);
-        std::int64_t remaining = options.limits.deadline_ms - elapsed_ms;
-        if (remaining < 1) remaining = 1;
-        if (config.limits.deadline_ms <= 0 ||
-            remaining < config.limits.deadline_ms) {
-          config.limits.deadline_ms = remaining;
-        }
+        config.limits.deadline_ms =
+            std::max<std::int64_t>(1, limits.deadline_ms - elapsed_ms);
       }
 
       StatusOr<MiningResult> mined =

@@ -61,10 +61,18 @@ struct CorpusOptions {
   /// The per-fragment mining configuration. `miner.threads` is the
   /// *within-fragment* level parallelism and defaults to serial — the
   /// corpus executor parallelizes at whole-fragment granularity instead,
-  /// which needs no per-window fork-join at all.
-  /// `miner.limits` applies to each fragment independently;
-  /// `miner.observer` is ignored (attach `observer` below — the executor
-  /// must interpose per-fragment sinks to keep exports deterministic).
+  /// which needs no per-window fork-join at all. `miner.cancel` and
+  /// `miner.observer` are ignored (set `cancel` and `observer` below — the
+  /// executor must interpose per-fragment sinks to keep exports
+  /// deterministic).
+  ///
+  /// `miner.limits` is the corpus's one budget set. The PIL budget applies
+  /// to each fragment (fragments are independent runs). The rest govern the
+  /// whole corpus: deadline_ms covers the whole run — it is checked when
+  /// each fragment is picked up (later fragments are skipped once it
+  /// expires) and the remaining time becomes each fragment's own deadline;
+  /// max_total_candidates caps the accumulated candidate count across
+  /// fragments, and max_level_candidates caps any single fragment's total.
   MinerConfig miner;
   /// Worker threads mining whole fragments: 1 = serial, 0 = one per
   /// hardware thread, T > 1 = exactly T, up to ThreadPool::kMaxThreads
@@ -72,15 +80,6 @@ struct CorpusOptions {
   /// plan-ordinal order whatever the thread count, so untripped runs are
   /// byte-identical at every setting.
   std::int64_t corpus_threads = 1;
-  /// Corpus-wide budgets. deadline_ms covers the whole run: it is checked
-  /// when each fragment is picked up (later fragments are skipped once it
-  /// expires) and the remaining time clamps each fragment's own deadline.
-  /// max_total_candidates caps the accumulated candidate count across
-  /// fragments; max_level_candidates caps any single fragment's total.
-  /// pil_memory_budget_bytes is a *per-fragment* budget here (fragments are
-  /// independent runs) — set it through `miner.limits` too if both corpus
-  /// and fragment budgets are wanted.
-  ResourceLimits limits;
   /// Optional cooperative cancellation for the whole corpus; must outlive
   /// the call. In-flight fragments stop at their next guard poll
   /// (partial-but-sound per fragment); unstarted fragments are skipped.
@@ -95,14 +94,6 @@ struct CorpusOptions {
   /// assert it drains to zero; hosts can poll it for live usage).
   CorpusLedger* ledger = nullptr;
 };
-
-/// Routes a single-run MinerConfig into corpus options: the deadline and
-/// both candidate caps govern the whole corpus, the PIL budget applies to
-/// each fragment, and the cancel token and observer move to the corpus
-/// level. `config.threads` stays the within-fragment parallelism.
-CorpusOptions CorpusOptionsFor(const std::string& algorithm,
-                               const MinerConfig& config,
-                               std::int64_t corpus_threads);
 
 /// One fragment's outcome inside a CorpusResult.
 struct FragmentResult {

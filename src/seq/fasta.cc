@@ -1,7 +1,7 @@
 #include "seq/fasta.h"
 
+#include <algorithm>
 #include <cctype>
-#include <cstdio>
 
 #include "util/io.h"
 #include "util/string_util.h"
@@ -150,17 +150,7 @@ std::string WriteFasta(const std::vector<FastaRecord>& records,
 Status WriteFastaFile(const std::string& path,
                       const std::vector<FastaRecord>& records,
                       std::size_t line_width) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    return Status::IoError("cannot open for writing: " + path);
-  }
-  std::string doc = WriteFasta(records, line_width);
-  std::size_t written = std::fwrite(doc.data(), 1, doc.size(), f);
-  std::fclose(f);
-  if (written != doc.size()) {
-    return Status::IoError("short write to " + path);
-  }
-  return Status::OK();
+  return WriteStringToFile(path, WriteFasta(records, line_width));
 }
 
 }  // namespace pgm

@@ -329,9 +329,12 @@ void MiningService::ExecuteCorpus(const MiningJob& job,
   // Fragment fan-out stays serial inside the service: the service already
   // parallelizes across jobs, and serial fragments keep one corpus job from
   // starving the other workers' CPUs.
-  StatusOr<CorpusResult> corpus = MineCorpus(
-      *plan, CorpusOptionsFor(job.algorithm, RunConfig(job.config),
-                              /*corpus_threads=*/1));
+  CorpusOptions options;
+  options.algorithm = job.algorithm;
+  options.miner = RunConfig(job.config);
+  options.cancel = options.miner.cancel;
+  options.observer = options.miner.observer;
+  StatusOr<CorpusResult> corpus = MineCorpus(*plan, options);
   if (!corpus.ok()) {
     response->status = corpus.status();
     return;

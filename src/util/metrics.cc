@@ -2,46 +2,11 @@
 
 #include <algorithm>
 
+#include "util/string_util.h"
+
 namespace pgm {
 
 namespace {
-
-/// Escapes a metric name for use as a JSON string. Names are plain
-/// identifiers in practice, but a malformed export would poison every
-/// downstream consumer, so escape defensively.
-std::string EscapeJson(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          constexpr char kHex[] = "0123456789abcdef";
-          out += "\\u00";
-          out += kHex[(c >> 4) & 0xF];
-          out += kHex[c & 0xF];
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
 
 void AppendUintList(const std::vector<std::uint64_t>& values,
                     std::string* out) {

@@ -25,6 +25,11 @@ std::string_view Trim(std::string_view input);
 std::string ToUpper(std::string_view input);
 std::string ToLower(std::string_view input);
 
+/// Escapes `input` for use inside a JSON string literal: quote, backslash
+/// and every control character. The one JSON string escaper of the metrics
+/// and trace exports.
+std::string EscapeJson(std::string_view input);
+
 /// printf-style formatting into a std::string.
 std::string StrFormat(const char* format, ...)
     __attribute__((format(printf, 1, 2)));

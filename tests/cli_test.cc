@@ -370,6 +370,18 @@ TEST(CliExitCodeTest, CsvWriteThatFailsAtCloseExitsThree) {
   EXPECT_NE(error.find("/dev/full"), std::string::npos) << error;
 }
 
+TEST(CliExitCodeTest, FastaWriteThatFailsAtCloseExitsThree) {
+  // 1000 bp fit the stdio buffer, so /dev/full fails only at its close.
+  if (!std::filesystem::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  std::string output, error;
+  const int code = RunFromString(
+      "pgm generate --preset bacteria --length 1000 --output /dev/full",
+      &output, &error);
+  EXPECT_EQ(code, 3) << error;
+  EXPECT_EQ(output.find("wrote"), std::string::npos) << output;
+  EXPECT_NE(error.find("/dev/full"), std::string::npos) << error;
+}
+
 TEST(CliExitCodeTest, CorruptCsvExitsFour) {
   const std::string path = testing::TempDir() + "/cli_corrupt.csv";
   std::FILE* f = std::fopen(path.c_str(), "w");

@@ -291,7 +291,7 @@ TEST(CorpusExecutorTest, LedgerDrainsWhenCorpusCandidateCapTrips) {
   // Serial so the trip point is deterministic: fragment 0 mines, its
   // candidate total latches the corpus cap, fragments 1..3 are skipped.
   options.corpus_threads = 1;
-  options.limits.max_total_candidates = 1;
+  options.miner.limits.max_total_candidates = 1;
   options.ledger = &ledger;
   CorpusResult corpus = *MineCorpus(plan, options);
   EXPECT_EQ(corpus.termination, TerminationReason::kCandidateCap);
@@ -382,38 +382,38 @@ TEST(CorpusExecutorTest, ToMiningResultCarriesTheAggregate) {
   EXPECT_EQ(flat.guaranteed_complete_up_to, corpus.guaranteed_complete_up_to);
 }
 
-TEST(CorpusExecutorTest, CorpusOptionsForRoutesEachBudget) {
-  MinerConfig config = TinyConfig(1, 2, 0.02);
-  config.threads = 3;
-  config.limits.deadline_ms = 500;
-  config.limits.pil_memory_budget_bytes = 4096;
-  config.limits.max_level_candidates = 70;
-  config.limits.max_total_candidates = 900;
-  CancelToken cancel;
-  MiningObserver observer;
-  config.cancel = &cancel;
-  config.observer = &observer;
+// `miner.limits` is the corpus's one budget set: the PIL budget applies to
+// each fragment, the candidate caps to the corpus.
+TEST(CorpusExecutorTest, MinerLimitsBudgetFragmentsAndCorpus) {
+  CorpusPlan plan = *CorpusPlan::FromSequence(PeriodicSeq(64), "rec",
+                                              PlanOptions(16, false));
+  CorpusOptions options;
+  options.miner = TinyConfig(1, 2, 0.02);
+  // Serial so the cap's trip point is deterministic.
+  options.corpus_threads = 1;
 
-  const CorpusOptions options = CorpusOptionsFor("mpp", config, 4);
-  EXPECT_EQ(options.algorithm, "mpp");
-  EXPECT_EQ(options.corpus_threads, 4);
-  // The deadline and candidate caps govern the whole corpus...
-  EXPECT_EQ(options.limits.deadline_ms, 500);
-  EXPECT_EQ(options.limits.max_level_candidates, 70u);
-  EXPECT_EQ(options.limits.max_total_candidates, 900u);
-  // ...the PIL budget applies to each fragment...
-  EXPECT_EQ(options.miner.limits.pil_memory_budget_bytes, 4096u);
-  EXPECT_EQ(options.miner.limits.deadline_ms, -1);
-  EXPECT_EQ(options.miner.limits.max_level_candidates, 0u);
-  EXPECT_EQ(options.miner.limits.max_total_candidates, 0u);
-  // ...and the plumbing moves to the corpus level.
-  EXPECT_EQ(options.cancel, &cancel);
-  EXPECT_EQ(options.observer, &observer);
-  EXPECT_EQ(options.miner.cancel, nullptr);
-  EXPECT_EQ(options.miner.observer, nullptr);
-  EXPECT_EQ(options.miner.threads, 3);
-  EXPECT_EQ(options.miner.min_gap, 1);
-  EXPECT_EQ(options.miner.max_gap, 2);
+  // A PIL budget of 1 trips inside every fragment, and skips none.
+  options.miner.limits.pil_memory_budget_bytes = 1;
+  CorpusResult corpus = *MineCorpus(plan, options);
+  EXPECT_EQ(corpus.termination, TerminationReason::kMemoryBudget);
+  EXPECT_EQ(corpus.fragments_mined, 4u);
+  EXPECT_EQ(corpus.fragments_completed, 0u);
+  EXPECT_EQ(corpus.fragments_skipped, 0u);
+  for (const FragmentResult& fragment : corpus.fragments) {
+    EXPECT_EQ(fragment.result.termination, TerminationReason::kMemoryBudget);
+  }
+
+  // A cap of 5 candidates per fragment is charged when each fragment ends:
+  // the first fragment runs uncapped and latches it, and every later
+  // fragment is skipped.
+  options.miner.limits = ResourceLimits{};
+  options.miner.limits.max_level_candidates = 5;
+  corpus = *MineCorpus(plan, options);
+  EXPECT_EQ(corpus.termination, TerminationReason::kCandidateCap);
+  EXPECT_EQ(corpus.fragments_mined, 1u);
+  EXPECT_EQ(corpus.fragments_completed, 1u);
+  EXPECT_EQ(corpus.fragments_skipped, 3u);
+  EXPECT_GT(corpus.fragments[0].result.total_candidates, 5u);
 }
 
 // --- Serve-layer corpus jobs --------------------------------------------

@@ -47,6 +47,12 @@ TEST(CaseTest, ToUpperAndLowerAreAsciiOnly) {
   EXPECT_EQ(ToLower("ACGT123"), "acgt123");
 }
 
+TEST(EscapeJsonTest, EscapesQuotesBackslashesAndControlCharacters) {
+  EXPECT_EQ(EscapeJson("plain.name-1"), "plain.name-1");
+  EXPECT_EQ(EscapeJson("a\"b\\c"), "a\\\"b\\\\c");
+  EXPECT_EQ(EscapeJson("\n\t\r\x01\x1f"), "\\n\\t\\r\\u0001\\u001f");
+}
+
 TEST(StrFormatTest, FormatsLikePrintf) {
   EXPECT_EQ(StrFormat("%d-%s-%.2f", 7, "x", 1.5), "7-x-1.50");
   EXPECT_EQ(StrFormat("no args"), "no args");

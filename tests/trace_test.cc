@@ -94,6 +94,34 @@ TEST(TraceTest, PerKindJsonSchemas) {
             std::string::npos);
 }
 
+// Record ids and job algorithms come from the user, so every string field is
+// escaped: a quote or backslash in one must not end the JSON string early.
+TEST(TraceTest, StringFieldsAreEscaped) {
+  MiningTrace trace;
+  TraceEvent fragment;
+  fragment.kind = TraceEventKind::kFragmentStart;
+  fragment.detail = "rec\"1\\x";
+  trace.Append(fragment);
+  TraceEvent job;
+  job.kind = TraceEventKind::kJobStart;
+  job.detail = "a\"b";
+  trace.Append(job);
+  TraceEvent start;
+  start.kind = TraceEventKind::kRunStart;
+  start.detail = "tab\there";
+  start.kernel_tier = "\\";
+  trace.Append(start);
+
+  const std::string json = trace.ToJson();
+  EXPECT_NE(json.find("\"record\": \"rec\\\"1\\\\x\""), std::string::npos)
+      << json;
+  EXPECT_NE(json.find("\"algorithm\": \"a\\\"b\""), std::string::npos) << json;
+  EXPECT_NE(json.find("\"algorithm\": \"tab\\there\", \"kernel_tier\": "
+                      "\"\\\\\""),
+            std::string::npos)
+      << json;
+}
+
 TEST(TraceTest, VolatileEventsGatedByOption) {
   MiningTrace trace;
   TraceEvent timing;
