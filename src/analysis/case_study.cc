@@ -1,8 +1,7 @@
 #include "analysis/case_study.h"
 
 #include <algorithm>
-#include <map>
-#include <string>
+#include <utility>
 
 #include "corpus/executor.h"
 
@@ -20,15 +19,11 @@ StatusOr<CaseStudyReport> RunCaseStudy(const Sequence& genome,
   PGM_ASSIGN_OR_RETURN(
       CorpusPlan plan,
       CorpusPlan::FromSequence(genome, "genome", plan_options));
-  if (plan.fragments().empty()) {
-    return Status::InvalidArgument(
-        "genome is shorter than one fragment; nothing to mine");
-  }
 
   // The corpus executor mines the fragments (serially here — the case
-  // study is itself run per species inside benchmarks) and hands back
-  // per-fragment results in ordinal order; the report folds them exactly
-  // as the original per-fragment loop did, so output is unchanged.
+  // study is itself run per species inside benchmarks), refuses a genome
+  // shorter than one fragment with the plan's diagnostic, and hands back
+  // per-fragment results in ordinal order plus the Section 7 union.
   CorpusOptions options;
   options.algorithm = "mppm";
   options.miner = config.miner;
@@ -39,25 +34,11 @@ StatusOr<CaseStudyReport> RunCaseStudy(const Sequence& genome,
   for (std::int64_t i = 0; i < config.report_length; ++i) all_at_count *= 2;
 
   CaseStudyReport report;
-  std::map<std::string, std::size_t> union_index;
   for (const FragmentResult& fragment_result : corpus.fragments) {
     if (fragment_result.mined && !fragment_result.status.ok()) {
       return fragment_result.status;
     }
     const MiningResult& mined = fragment_result.result;
-    for (const FrequentPattern& fp : mined.patterns) {
-      const std::string key(fp.pattern.symbols().begin(),
-                            fp.pattern.symbols().end());
-      auto [it, inserted] =
-          union_index.emplace(key, report.frequent_union.size());
-      if (inserted) {
-        report.frequent_union.push_back(fp);
-      } else if (fp.support >
-                 report.frequent_union[it->second].support) {
-        report.frequent_union[it->second] = fp;
-      }
-    }
-
     FragmentReport fragment;
     fragment.index = fragment_result.ordinal;
     PGM_ASSIGN_OR_RETURN(fragment.buckets,
@@ -89,6 +70,7 @@ StatusOr<CaseStudyReport> RunCaseStudy(const Sequence& genome,
     report.longest_overall = std::max(report.longest_overall, fragment.longest);
     report.fragments.push_back(fragment);
   }
+  report.frequent_union = std::move(corpus.patterns);
   const double n = static_cast<double>(report.fragments.size());
   report.avg_at_only /= n;
   report.avg_single_cg /= n;

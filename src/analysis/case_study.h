@@ -44,8 +44,9 @@ struct FragmentReport {
 /// Aggregated Section 7 report.
 struct CaseStudyReport {
   std::vector<FragmentReport> fragments;
-  /// Union of frequent patterns across fragments (deduplicated by content;
-  /// the entry keeps the highest support seen). Feeds cross-species
+  /// Union of frequent patterns across fragments: MineCorpus's Section 7
+  /// union (CorpusResult::patterns), each pattern once with its best
+  /// per-fragment support, in (length, symbols) order. Feeds cross-species
   /// comparison (analysis/compare.h).
   std::vector<FrequentPattern> frequent_union;
   /// Mean bucket sizes across fragments at report_length.
@@ -62,7 +63,8 @@ struct CaseStudyReport {
 
 /// Fragments `genome`, mines every fragment with MPPm under
 /// `config.miner`, and aggregates. Fragments shorter than fragment_length
-/// (the tail) are skipped, mirroring the paper.
+/// (the tail) are skipped, mirroring the paper; a genome shorter than one
+/// fragment is MineCorpus's empty-plan InvalidArgument.
 StatusOr<CaseStudyReport> RunCaseStudy(const Sequence& genome,
                                        const CaseStudyConfig& config);
 

@@ -39,25 +39,30 @@ std::string FormatMiningReport(const MiningResult& result,
                      static_cast<long long>(result.adaptive_iterations));
   }
 
-  std::vector<FrequentPattern> patterns =
-      options.maximal_only ? FilterMaximalPatterns(result.patterns)
-                           : result.patterns;
+  std::vector<FrequentPattern> maximal;
   if (options.maximal_only) {
-    out += StrFormat("condensed to %zu maximal patterns\n", patterns.size());
+    maximal = FilterMaximalPatterns(result.patterns);
+    out += StrFormat("condensed to %zu maximal patterns\n", maximal.size());
   }
+  const std::vector<FrequentPattern>& source =
+      options.maximal_only ? maximal : result.patterns;
+  // Rank pointers; the patterns themselves are not copied.
+  std::vector<const FrequentPattern*> patterns;
+  patterns.reserve(source.size());
+  for (const FrequentPattern& fp : source) patterns.push_back(&fp);
   std::sort(patterns.begin(), patterns.end(),
-            [](const FrequentPattern& a, const FrequentPattern& b) {
-              if (a.pattern.length() != b.pattern.length()) {
-                return a.pattern.length() > b.pattern.length();
+            [](const FrequentPattern* a, const FrequentPattern* b) {
+              if (a->pattern.length() != b->pattern.length()) {
+                return a->pattern.length() > b->pattern.length();
               }
-              return a.support_ratio > b.support_ratio;
+              return a->support_ratio > b->support_ratio;
             });
   const std::size_t shown = options.top == 0
                                 ? patterns.size()
                                 : std::min(options.top, patterns.size());
   TablePrinter table({"pattern", "explicit form", "support", "ratio (%)"});
   for (std::size_t i = 0; i < shown; ++i) {
-    const FrequentPattern& fp = patterns[i];
+    const FrequentPattern& fp = *patterns[i];
     table.Row()
         .Add(fp.pattern.ToShorthand())
         .Add(fp.pattern.ToString(gap))

@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <initializer_list>
 #include <iterator>
+#include <limits>
 #include <sstream>
 #include <string_view>
 #include <thread>
@@ -213,6 +214,13 @@ Status CheckAlgorithmFlag(const std::string& algorithm) {
                                  "' (" + AlgorithmNames() + ")");
 }
 
+/// How many rows `--top` lets a table show: the first `top`, or every row
+/// when `top` <= 0.
+std::size_t TopRows(std::int64_t top) {
+  return top <= 0 ? std::numeric_limits<std::size_t>::max()
+                  : static_cast<std::size_t>(top);
+}
+
 /// Registers the user-facing MinerOptions() rows as flags writing into
 /// *config (only the rows named in `only`, when given). Usage() shows
 /// *config's values as the defaults.
@@ -329,7 +337,7 @@ Status RunMine(const std::vector<std::string>& args, std::string* output,
       sequence.size(), sequence.alphabet().symbols().c_str(),
       config.min_support_ratio * 100.0, algorithm.c_str()));
   ReportOptions report_options;
-  report_options.top = static_cast<std::size_t>(std::max<std::int64_t>(0, top));
+  report_options.top = TopRows(top);
   report_options.maximal_only = maximal;
   report_options.include_level_stats = level_stats;
   output->append(FormatMiningReport(result, gap, report_options));
@@ -339,8 +347,7 @@ Status RunMine(const std::vector<std::string>& args, std::string* output,
                          RankByLift(result, sequence));
     TablePrinter lift_table(
         {"pattern", "observed ratio", "expected (composition)", "lift"});
-    const std::size_t shown = std::min<std::size_t>(
-        ranked.size(), static_cast<std::size_t>(std::max<std::int64_t>(0, top)));
+    const std::size_t shown = std::min(ranked.size(), TopRows(top));
     for (std::size_t i = 0; i < shown; ++i) {
       lift_table.Row()
           .Add(ranked[i].pattern.pattern.ToShorthand())
@@ -431,11 +438,6 @@ Status RunCorpus(const std::vector<std::string>& args, std::string* output,
   plan_options.fragment.keep_tail = keep_tail;
   plan_options.max_fragments = static_cast<std::size_t>(max_fragments);
   PGM_ASSIGN_OR_RETURN(CorpusPlan plan, LoadCorpusInput(input, plan_options));
-  if (plan.fragments().empty()) {
-    // The loud-diagnostic contract: an input that fragments to nothing is
-    // a usage error (exit 2), never a silent zero-pattern success.
-    return Status::InvalidArgument(plan.EmptyPlanDiagnostic(plan_options));
-  }
 
   CorpusOptions options;
   options.algorithm = algorithm;
@@ -445,6 +447,9 @@ Status RunCorpus(const std::vector<std::string>& args, std::string* output,
   options.corpus_threads = config.threads;
   options.cancel = &GlobalCancelToken();
   options.observer = exports.Observer();
+  // MineCorpus refuses an empty plan (with the plan's diagnostic) and an
+  // invalid miner config before any fragment runs: exit 2, never a silent
+  // zero-pattern success.
   PGM_ASSIGN_OR_RETURN(CorpusResult corpus, MineCorpus(plan, options));
 
   output->append(StrFormat(
@@ -496,8 +501,7 @@ Status RunCorpus(const std::vector<std::string>& args, std::string* output,
                            corpus.patterns.size()));
   TablePrinter table(
       {"pattern", "length", "fragments", "best support", "best ratio"});
-  const std::size_t shown = std::min<std::size_t>(
-      order.size(), static_cast<std::size_t>(std::max<std::int64_t>(0, top)));
+  const std::size_t shown = std::min(order.size(), TopRows(top));
   for (std::size_t i = 0; i < shown; ++i) {
     const FrequentPattern& pattern = corpus.patterns[order[i]];
     table.Row()
@@ -646,9 +650,8 @@ Status RunTandem(const std::vector<std::string>& args, std::string* output) {
                            shown.size(), repeats.size(),
                            static_cast<long long>(min_length)));
   TablePrinter table({"start", "period", "length", "copies", "unit"});
-  for (std::size_t i = 0; i < shown.size() &&
-                          i < static_cast<std::size_t>(std::max<std::int64_t>(0, top));
-       ++i) {
+  const std::size_t rows = std::min(shown.size(), TopRows(top));
+  for (std::size_t i = 0; i < rows; ++i) {
     const TandemRepeat& repeat = *shown[i];
     table.Row()
         .Add(repeat.start)

@@ -8,12 +8,6 @@ namespace pgm {
 StatusOr<MiningResult> MineAdaptive(const Sequence& sequence,
                                     const MinerConfig& config) {
   PGM_RETURN_IF_ERROR(internal::ValidateConfig(sequence, config).status());
-  if (config.initial_n < 1) {
-    return Status::InvalidArgument("initial_n must be >= 1");
-  }
-  if (config.max_iterations < 1) {
-    return Status::InvalidArgument("max_iterations must be >= 1");
-  }
   Stopwatch watch;
 
   // The Section 6 sketch: run MPP with a cheap small n; whenever the

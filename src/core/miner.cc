@@ -107,6 +107,15 @@ StatusOr<GapRequirement> ValidateConfig(const Sequence& sequence,
         static_cast<long long>(ThreadPool::kMaxThreads),
         static_cast<long long>(config.threads)));
   }
+  if (config.em_order < 1) {
+    return Status::InvalidArgument("e_m order m must be >= 1");
+  }
+  if (config.initial_n < 1) {
+    return Status::InvalidArgument("initial_n must be >= 1");
+  }
+  if (config.max_iterations < 1) {
+    return Status::InvalidArgument("max_iterations must be >= 1");
+  }
   return gap;
 }
 

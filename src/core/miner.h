@@ -181,8 +181,8 @@ struct MiningResult {
 /// Estimated resident size of a MiningResult: the struct, each pattern and
 /// its symbols, and the level stats. It counts lengths, not capacities, so
 /// a copy and its original count the same. An estimate, not an audit: the
-/// serving cache and the corpus ledger bound memory growth with it, they do
-/// not reproduce malloc bookkeeping.
+/// serving cache bounds memory growth with it and the corpus ledger counts
+/// results with it; neither reproduces malloc bookkeeping.
 std::uint64_t ApproxResultBytes(const MiningResult& result);
 
 /// MPP (Section 5.1): level-wise mining with PIL-based support counting and
@@ -239,8 +239,10 @@ namespace internal {
 // ArenaEntry, BuiltLevel, JoinPlan (core/candidate_index.h) and the
 // ParallelLevelExecutor (core/parallel.h) are re-exported here.
 
-/// Validates the shared configuration fields against the sequence and
-/// returns the run's gap requirement.
+/// Validates every configuration field against the sequence, for every
+/// algorithm alike (MPPm's m and the adaptive loop's knobs included), and
+/// returns the run's gap requirement. The engines call it before they build
+/// their guard, context and executor, so a rejected run records nothing.
 StatusOr<GapRequirement> ValidateConfig(const Sequence& sequence,
                                         const MinerConfig& config);
 

@@ -216,6 +216,12 @@ ObserverContext::ObserverContext(const MiningObserver* observer,
                                  const char* kernel_tier)
     : metrics_(observer == nullptr ? nullptr : observer->metrics),
       trace_(observer == nullptr ? nullptr : observer->trace) {
+  if (metrics_ != nullptr) {
+    support_histogram_ =
+        metrics_->GetHistogram("mine.candidate.support", SupportBounds());
+    pil_bytes_histogram_ =
+        metrics_->GetHistogram("mine.candidate.pil_bytes", PilBytesBounds());
+  }
   if (trace_ != nullptr) {
     TraceEvent event;
     event.kind = TraceEventKind::kRunStart;
@@ -225,14 +231,6 @@ ObserverContext::ObserverContext(const MiningObserver* observer,
   }
 }
 
-void ObserverContext::OpenHistograms() {
-  if (metrics_ == nullptr || support_histogram_ != nullptr) return;
-  support_histogram_ =
-      metrics_->GetHistogram("mine.candidate.support", SupportBounds());
-  pil_bytes_histogram_ =
-      metrics_->GetHistogram("mine.candidate.pil_bytes", PilBytesBounds());
-}
-
 void ObserverContext::Count(const std::string& name, std::uint64_t value) {
   if (metrics_ != nullptr && value > 0) metrics_->GetCounter(name)->Add(value);
 }
@@ -240,7 +238,6 @@ void ObserverContext::Count(const std::string& name, std::uint64_t value) {
 void ObserverContext::LevelStart(std::int64_t length, std::uint64_t candidates,
                                  double lambda, double full_threshold,
                                  double relaxed_threshold) {
-  OpenHistograms();
   Level level;
   level.length = length;
   level.candidates = candidates;
@@ -336,7 +333,6 @@ std::int64_t ObserverContext::last_completed_level() const {
 void ObserverContext::Finish(MiningResult* result) {
   if (finished_) return;
   finished_ = true;
-  OpenHistograms();
 
   // A run the guard cut mid-level still reports the level it was working
   // on: the level entered the table at LevelStart, before any evaluation.

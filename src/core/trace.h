@@ -186,7 +186,9 @@ class ObserverContext {
   /// the run in the kRunStart event and `kernel_tier` records the run's
   /// configured join-kernel tier there (KernelTierToString — the configured
   /// tier, not the resolved implementation, so exports stay byte-identical
-  /// across machines).
+  /// across machines). Registers the candidate histograms in an attached
+  /// registry. The engines build the context only after ValidateConfig, and
+  /// no run fails after that, so every run that records anything seals.
   ObserverContext(const MiningObserver* observer, const char* algorithm,
                   const char* kernel_tier = "auto");
 
@@ -262,10 +264,6 @@ class ObserverContext {
     bool completed = false;
   };
 
-  /// Registers the candidate histograms in the attached registry at the
-  /// first LevelStart or at Finish, so a run that fails before either leaves
-  /// the registry untouched.
-  void OpenHistograms();
   /// Adds `value` to the attached registry's named counter, creating it
   /// only when non-zero.
   void Count(const std::string& name, std::uint64_t value);

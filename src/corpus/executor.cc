@@ -17,8 +17,7 @@ namespace pgm {
 
 namespace {
 
-/// Bytes the executor keeps alive for one fragment between mining and
-/// aggregation: the window's symbols plus the mined result's footprint.
+/// The ledger's charge for one mined fragment's window.
 std::uint64_t WindowBytes(const Sequence& sequence) {
   return sizeof(Sequence) +
          static_cast<std::uint64_t>(sequence.size()) * sizeof(Symbol);
@@ -29,7 +28,6 @@ std::uint64_t WindowBytes(const Sequence& sequence) {
 /// them serially after the fork-join barrier.
 struct Slot {
   FragmentResult out;
-  std::uint64_t charged_bytes = 0;
   // Per-fragment observer sinks (allocated only when the caller attached an
   // observer): interposing them is what makes the merged export
   // deterministic — each fragment records privately, and the aggregator
@@ -60,10 +58,9 @@ MiningResult CorpusResult::ToMiningResult() const {
 
 StatusOr<CorpusResult> MineCorpus(const CorpusPlan& plan,
                                   const CorpusOptions& options) {
-  if (plan.fragments().empty()) {
-    return Status::InvalidArgument(
-        "corpus plan contains no fragments (" + plan.Describe() +
-        "); see CorpusPlan::EmptyPlanDiagnostic");
+  const std::vector<CorpusFragment>& fragments = plan.fragments();
+  if (fragments.empty()) {
+    return Status::InvalidArgument(plan.EmptyPlanDiagnostic());
   }
   if (options.corpus_threads < 0 ||
       options.corpus_threads > ThreadPool::kMaxThreads) {
@@ -73,15 +70,15 @@ StatusOr<CorpusResult> MineCorpus(const CorpusPlan& plan,
                   static_cast<long long>(options.corpus_threads)));
   }
   PGM_RETURN_IF_ERROR(CheckAlgorithm(options.algorithm));
+  // Every fragment's run checks its config first, and every fragment is a
+  // non-empty window, so the first fragment's verdict holds for them all.
+  PGM_RETURN_IF_ERROR(
+      internal::ValidateConfig(fragments.front().sequence, options.miner)
+          .status());
 
-  const std::vector<CorpusFragment>& fragments = plan.fragments();
   const bool observing =
       options.observer != nullptr && (options.observer->metrics != nullptr ||
                                       options.observer->trace != nullptr);
-
-  CorpusLedger own_ledger;
-  CorpusLedger& ledger =
-      options.ledger != nullptr ? *options.ledger : own_ledger;
 
   // The corpus guard: deadline/cancellation polled at every fragment
   // pickup, per-fragment candidate totals charged against the corpus-level
@@ -134,10 +131,6 @@ StatusOr<CorpusResult> MineCorpus(const CorpusPlan& plan,
       // already-running fragments wind down through their own guards.
       if (!corpus_guard.CheckNow()) continue;
 
-      const Sequence& window = fragments[i].sequence;
-      slot.charged_bytes = WindowBytes(window);
-      ledger.Charge(slot.charged_bytes);
-
       MinerConfig config = options.miner;
       config.observer = observing ? &slot.observer : nullptr;
       config.cancel = options.cancel;
@@ -152,19 +145,15 @@ StatusOr<CorpusResult> MineCorpus(const CorpusPlan& plan,
       }
 
       StatusOr<MiningResult> mined =
-          Mine(options.algorithm, window, config);
+          Mine(options.algorithm, fragments[i].sequence, config);
       slot.out.mined = true;
       if (mined.ok()) {
         slot.out.result = *std::move(mined);
-        const std::uint64_t result_bytes = ApproxResultBytes(slot.out.result);
-        ledger.Charge(result_bytes);
-        slot.charged_bytes = SatAdd(slot.charged_bytes, result_bytes);
-        if (!corpus_guard.ChargeLevelCandidates(
-                slot.out.result.total_candidates)) {
-          // A corpus candidate cap latched: unstarted fragments will be
-          // skipped at pickup. This fragment's own result stays — it is
-          // already complete and sound.
-        }
+        // A corpus candidate cap that latches here skips the unstarted
+        // fragments at pickup. This fragment's own result stays — it is
+        // already complete and sound.
+        (void)corpus_guard.ChargeLevelCandidates(
+            slot.out.result.total_candidates);
       } else {
         slot.out.status = mined.status();
       }
@@ -173,8 +162,8 @@ StatusOr<CorpusResult> MineCorpus(const CorpusPlan& plan,
 
   // Deterministic aggregation: fold the slots in plan-ordinal order,
   // whatever order the workers finished in. Everything derived below —
-  // pattern union, counters, merged observer streams — depends only on the
-  // per-fragment results and this fixed order, so untripped runs are
+  // pattern union, counters, ledger, merged observer streams — depends only
+  // on the per-fragment results and this fixed order, so untripped runs are
   // byte-identical at every corpus_threads setting.
   CorpusResult corpus;
   corpus.fragments_planned = fragments.size();
@@ -184,9 +173,9 @@ StatusOr<CorpusResult> MineCorpus(const CorpusPlan& plan,
     FrequentPattern pattern;
     std::uint64_t fragment_count = 0;
   };
-  // Keyed by the symbols as bytes: the same unsigned order as the symbol
-  // vector, re-sorted to (length, symbols) below either way.
-  std::map<std::string, UnionEntry> pattern_union;
+  // Keyed by (length, symbols as bytes): std::string compares bytes as
+  // unsigned, so the map's order is PatternOrderLess, the result order.
+  std::map<std::pair<std::size_t, std::string>, UnionEntry> pattern_union;
 
   MetricsRegistry* user_metrics =
       observing ? options.observer->metrics : nullptr;
@@ -215,6 +204,9 @@ StatusOr<CorpusResult> MineCorpus(const CorpusPlan& plan,
     const bool ok = fragment.mined && fragment.status.ok();
     if (fragment.mined) {
       ++corpus.fragments_mined;
+      corpus.ledger_peak_bytes =
+          SatAdd(corpus.ledger_peak_bytes,
+                 WindowBytes(fragments[fragment.ordinal].sequence));
       if (!fragment.status.ok()) {
         ++corpus.fragments_failed;
       } else if (fragment.result.complete()) {
@@ -225,6 +217,8 @@ StatusOr<CorpusResult> MineCorpus(const CorpusPlan& plan,
     }
     if (ok) {
       const MiningResult& result = fragment.result;
+      corpus.ledger_peak_bytes =
+          SatAdd(corpus.ledger_peak_bytes, ApproxResultBytes(result));
       corpus.total_candidates =
           SatAdd(corpus.total_candidates, result.total_candidates);
       corpus.pil_memory_peak_bytes =
@@ -233,8 +227,8 @@ StatusOr<CorpusResult> MineCorpus(const CorpusPlan& plan,
           corpus.longest_frequent_length, result.longest_frequent_length);
       for (const FrequentPattern& found : result.patterns) {
         const std::vector<Symbol>& symbols = found.pattern.symbols();
-        UnionEntry& entry =
-            pattern_union[std::string(symbols.begin(), symbols.end())];
+        UnionEntry& entry = pattern_union[{
+            symbols.size(), std::string(symbols.begin(), symbols.end())}];
         if (entry.fragment_count == 0 || found.support > entry.pattern.support) {
           // Keep the best *per-fragment* support (§7 aggregation: support
           // is never summed across fragment boundaries); ties keep the
@@ -254,25 +248,14 @@ StatusOr<CorpusResult> MineCorpus(const CorpusPlan& plan,
       user_trace->Append(std::move(end));
     }
 
-    ledger.Release(slot.charged_bytes);
-    slot.charged_bytes = 0;
     corpus.fragments.push_back(std::move(fragment));
   }
 
-  // The union map is keyed by symbols; re-sort to the MiningResult contract
-  // (length, then symbols).
   corpus.patterns.reserve(pattern_union.size());
   corpus.pattern_fragment_counts.reserve(pattern_union.size());
-  std::vector<const UnionEntry*> entries;
-  entries.reserve(pattern_union.size());
-  for (const auto& [symbols, entry] : pattern_union) entries.push_back(&entry);
-  std::sort(entries.begin(), entries.end(),
-            [](const UnionEntry* a, const UnionEntry* b) {
-              return PatternOrderLess(a->pattern, b->pattern);
-            });
-  for (const UnionEntry* entry : entries) {
-    corpus.patterns.push_back(entry->pattern);
-    corpus.pattern_fragment_counts.push_back(entry->fragment_count);
+  for (auto& [key, entry] : pattern_union) {
+    corpus.patterns.push_back(std::move(entry.pattern));
+    corpus.pattern_fragment_counts.push_back(entry.fragment_count);
   }
 
   // Termination: a corpus-level trip wins; otherwise the first fragment cut
@@ -299,10 +282,8 @@ StatusOr<CorpusResult> MineCorpus(const CorpusPlan& plan,
     }
   }
 
-  corpus.ledger_peak_bytes = ledger.peak_bytes();
-
-  // Deterministic corpus.* metrics (the ledger peak is concurrency-shaped,
-  // so it stays out of the export and rides on the result instead).
+  // Deterministic corpus.* metrics (the ledger peak rides on the result,
+  // not in the export).
   if (user_metrics != nullptr) {
     std::uint64_t patterns_total = 0;
     for (const FragmentResult& fragment : corpus.fragments) {

@@ -1,7 +1,6 @@
 #ifndef PGM_CORPUS_EXECUTOR_H_
 #define PGM_CORPUS_EXECUTOR_H_
 
-#include <atomic>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -14,45 +13,6 @@
 #include "util/status.h"
 
 namespace pgm {
-
-/// The corpus ledger: live bytes of in-flight fragment state (each
-/// fragment's window plus its mined result), charged when a worker picks
-/// the fragment up and released when the aggregator folds it in. This is
-/// the corpus-level roll-up of the per-fragment MiningGuard ledgers — each
-/// fragment's guard already drains to zero inside the miner; the corpus
-/// ledger accounts for what the executor itself keeps alive between mining
-/// and aggregation, and must read zero after MineCorpus returns on every
-/// termination path (the differential suite asserts exactly that).
-class CorpusLedger {
- public:
-  CorpusLedger() = default;
-  CorpusLedger(const CorpusLedger&) = delete;
-  CorpusLedger& operator=(const CorpusLedger&) = delete;
-
-  void Charge(std::uint64_t bytes) {
-    const std::uint64_t now =
-        outstanding_.fetch_add(bytes, std::memory_order_relaxed) + bytes;
-    std::uint64_t peak = peak_.load(std::memory_order_relaxed);
-    while (now > peak &&
-           !peak_.compare_exchange_weak(peak, now,
-                                        std::memory_order_relaxed)) {
-    }
-  }
-  void Release(std::uint64_t bytes) {
-    outstanding_.fetch_sub(bytes, std::memory_order_relaxed);
-  }
-
-  std::uint64_t outstanding_bytes() const {
-    return outstanding_.load(std::memory_order_relaxed);
-  }
-  std::uint64_t peak_bytes() const {
-    return peak_.load(std::memory_order_relaxed);
-  }
-
- private:
-  std::atomic<std::uint64_t> outstanding_{0};
-  std::atomic<std::uint64_t> peak_{0};
-};
 
 /// Configuration for one corpus run.
 struct CorpusOptions {
@@ -90,9 +50,6 @@ struct CorpusOptions {
   /// bracket each fragment's stream, and the merged export is
   /// byte-identical across corpus_threads settings.
   const MiningObserver* observer = nullptr;
-  /// Optional external ledger to charge instead of an internal one (tests
-  /// assert it drains to zero; hosts can poll it for live usage).
-  CorpusLedger* ledger = nullptr;
 };
 
 /// One fragment's outcome inside a CorpusResult.
@@ -108,8 +65,9 @@ struct FragmentResult {
   /// True when the fragment was actually mined; false when a corpus-level
   /// budget trip or cancellation latched before a worker picked it up.
   bool mined = false;
-  /// The miner's status for this fragment (OK unless the configuration was
-  /// rejected). Meaningless when !mined.
+  /// The miner's status for this fragment. MineCorpus checks the
+  /// configuration before any fragment runs, so this is OK unless the run
+  /// itself failed. Meaningless when !mined.
   Status status;
   /// The per-fragment mining result; valid when mined && status.ok().
   MiningResult result;
@@ -123,7 +81,8 @@ struct CorpusResult {
   /// The corpus-level frequent-pattern union: each distinct pattern once,
   /// carrying its best *per-fragment* support (the §7 aggregation — a
   /// pattern's support is counted within fragments, never across fragment
-  /// boundaries), sorted by (length, symbols) like MiningResult::patterns.
+  /// boundaries; ties keep the earliest fragment's entry), in (length,
+  /// symbols) order like MiningResult::patterns.
   std::vector<FrequentPattern> patterns;
   /// Parallel to `patterns`: in how many fragments the pattern was
   /// frequent.
@@ -148,7 +107,11 @@ struct CorpusResult {
   std::uint64_t total_candidates = 0;
   /// Max over fragments of the per-fragment PIL peak.
   std::uint64_t pil_memory_peak_bytes = 0;
-  /// Peak of the corpus ledger (in-flight fragment state).
+  /// The corpus ledger: the bytes of fragment state the executor holds
+  /// until the fold, every mined window plus every result that came back
+  /// OK (by ApproxResultBytes). The fold frees nothing before every
+  /// fragment is mined, so this peak is their sum, the same at every
+  /// corpus_threads setting for an untripped run.
   std::uint64_t ledger_peak_bytes = 0;
   /// Longest frequent pattern across the corpus (0 when none).
   std::int64_t longest_frequent_length = 0;
@@ -167,13 +130,14 @@ struct CorpusResult {
   MiningResult ToMiningResult() const;
 };
 
-/// Mines every fragment of `plan` and aggregates deterministically. The
-/// Status is only non-OK for invalid configuration (unknown algorithm,
-/// invalid corpus_threads); per-fragment failures and budget trips are
-/// reported inside the CorpusResult (partial-but-sound). An empty plan
-/// yields InvalidArgument — never a silent zero-pattern success — and
-/// callers should print CorpusPlan::EmptyPlanDiagnostic for the full
-/// explanation.
+/// Mines every fragment of `plan` and aggregates deterministically. Before
+/// any fragment runs it checks, in order: the plan is not empty (an empty
+/// plan is InvalidArgument carrying CorpusPlan::EmptyPlanDiagnostic, never
+/// a silent zero-pattern success), corpus_threads, the algorithm, and the
+/// miner config (the check every fragment's run makes first; its verdict
+/// is the same for every non-empty window). Callers pass this status on.
+/// Budget trips and any failure of a fragment's own run are reported
+/// inside the CorpusResult (partial-but-sound).
 StatusOr<CorpusResult> MineCorpus(const CorpusPlan& plan,
                                   const CorpusOptions& options);
 

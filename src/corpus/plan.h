@@ -55,8 +55,8 @@ struct SkippedRecord {
 };
 
 /// The expanded work list of a corpus run: every fragment of every record,
-/// in (record, window) order. Immutable once built; the executor reads it
-/// from many threads.
+/// in (record, window) order, with the options that cut it. Immutable once
+/// built; the executor reads it from many threads.
 class CorpusPlan {
  public:
   /// Plans a single already-encoded sequence under `name`.
@@ -97,14 +97,17 @@ class CorpusPlan {
 
   /// The loud-diagnostic contract for an empty plan: a multi-line
   /// explanation of why zero fragments were planned (per-record lengths vs
-  /// fragment_length, keep_tail state) and what to change. `pgm corpus`
-  /// prints this and refuses to run rather than report zero patterns.
-  std::string EmptyPlanDiagnostic(const CorpusPlanOptions& options) const;
+  /// the plan's fragment_length, keep_tail state) and what to change.
+  /// MineCorpus refuses an empty plan with this text as its InvalidArgument
+  /// rather than report zero patterns.
+  std::string EmptyPlanDiagnostic() const;
 
  private:
-  Status AddRecord(const std::string& record_id, const Sequence& sequence,
-                   const CorpusPlanOptions& options);
+  Status AddRecord(const std::string& record_id, const Sequence& sequence);
+  /// True once the plan holds options_.max_fragments fragments.
+  bool CapReached() const;
 
+  CorpusPlanOptions options_;
   std::vector<CorpusFragment> fragments_;
   std::vector<SkippedRecord> skipped_records_;
   std::size_t num_records_ = 0;

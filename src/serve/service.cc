@@ -318,13 +318,6 @@ void MiningService::ExecuteCorpus(const MiningJob& job,
     response->status = plan.status();
     return;
   }
-  if (plan->fragments().empty()) {
-    // The loud-diagnostic contract: an input that fragments to nothing is
-    // a client error, never a silent zero-pattern success.
-    response->status =
-        Status::InvalidArgument(plan->EmptyPlanDiagnostic(plan_options));
-    return;
-  }
 
   // Fragment fan-out stays serial inside the service: the service already
   // parallelizes across jobs, and serial fragments keep one corpus job from
@@ -334,6 +327,8 @@ void MiningService::ExecuteCorpus(const MiningJob& job,
   options.miner = RunConfig(job.config);
   options.cancel = options.miner.cancel;
   options.observer = options.miner.observer;
+  // An empty plan or an invalid config fails here, before any fragment
+  // runs: a client error, never a silent zero-pattern success.
   StatusOr<CorpusResult> corpus = MineCorpus(*plan, options);
   if (!corpus.ok()) {
     response->status = corpus.status();

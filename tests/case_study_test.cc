@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "corpus/executor.h"
 #include "datagen/presets.h"
 
 namespace pgm {
@@ -70,6 +71,31 @@ TEST(CaseStudyTest, RejectsBadReportLength) {
   CaseStudyConfig config = SmallConfig();
   config.report_length = 0;
   EXPECT_FALSE(RunCaseStudy(genome, config).ok());
+}
+
+// The case study reads the corpus executor's Section 7 union in place:
+// the same patterns with the same best per-fragment supports, in the same
+// (length, symbols) order.
+TEST(CaseStudyTest, FrequentUnionIsTheCorpusUnion) {
+  Sequence genome = *MakeBacteriaLikeGenome(24'000, 84);
+  const CaseStudyConfig config = SmallConfig();
+  const CaseStudyReport report = *RunCaseStudy(genome, config);
+
+  CorpusPlanOptions plan_options;
+  plan_options.fragment.fragment_length = config.fragment_length;
+  const CorpusPlan plan =
+      *CorpusPlan::FromSequence(genome, "genome", plan_options);
+  CorpusOptions options;
+  options.algorithm = "mppm";
+  options.miner = config.miner;
+  const CorpusResult corpus = *MineCorpus(plan, options);
+  ASSERT_FALSE(corpus.patterns.empty());
+  ASSERT_EQ(report.frequent_union.size(), corpus.patterns.size());
+  for (std::size_t i = 0; i < corpus.patterns.size(); ++i) {
+    SCOPED_TRACE(i);
+    EXPECT_EQ(report.frequent_union[i].pattern, corpus.patterns[i].pattern);
+    EXPECT_EQ(report.frequent_union[i].support, corpus.patterns[i].support);
+  }
 }
 
 TEST(CaseStudyTest, AggregatesTrackFragmentMaxima) {

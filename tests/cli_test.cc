@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 
@@ -954,6 +955,78 @@ TEST(CliCorpusTest, BudgetsSplitBetweenCorpusAndFragments) {
             std::string::npos)
       << capped.out;
   EXPECT_NE(capped.out.find("termination: candidate-cap"), std::string::npos);
+}
+
+// A miner config that every fragment would reject fails the whole corpus
+// up front, with pgm mine's exit code and reason, instead of reporting
+// every fragment failed.
+TEST(CliCorpusTest, InvalidMinerConfigFailsBeforeAnyFragment) {
+  const CliRun run = RunCli(
+      "pgm corpus --input preset:bacteria:6000:1 --fragment-length 2000 "
+      "--min-gap 3 --max-gap 1 --rho-percent 0.5 --start-length 2");
+  EXPECT_USAGE_ERROR(run);
+  EXPECT_NE(run.err.find("InvalidArgument: maximum gap 1 is smaller than "
+                         "minimum gap 3"),
+            std::string::npos)
+      << run.err;
+  EXPECT_EQ(run.out.find("fragments:"), std::string::npos) << run.out;
+}
+
+TEST(CliServeTest, CorpusJobWithAnInvalidGapFailsAlone) {
+  const std::string jobs = WriteJobsFile(
+      "serve_corpus_gap.jobs",
+      "preset:bacteria:6000:1 algorithm=mppm min-gap=3 max-gap=1 "
+      "rho-percent=0.5 start-length=2 corpus=2000\n"
+      "raw:ACGTACGTACGTACGT rho-percent=50 max-gap=1\n");
+  const CliRun serve = RunCli("pgm serve --jobs " + jobs);
+  std::remove(jobs.c_str());
+  EXPECT_SUCCESS(serve);
+  EXPECT_NE(serve.out.find("job 1 preset:bacteria:6000:1 mppm: "
+                           "InvalidArgument: maximum gap 1 is smaller than "
+                           "minimum gap 3"),
+            std::string::npos)
+      << serve.out;
+  EXPECT_NE(serve.out.find("1 completed"), std::string::npos) << serve.out;
+  EXPECT_NE(serve.out.find("1 failed"), std::string::npos) << serve.out;
+}
+
+// --top 0 shows every row of every table that takes --top: the lift
+// table, the corpus table and the tandem table list exactly what --top
+// 1000000 lists.
+TEST(CliRunTest, TopZeroShowsEveryRow) {
+  auto from = [](const std::string& text, const std::string& marker) {
+    const std::size_t at = text.find(marker);
+    EXPECT_NE(at, std::string::npos) << text;
+    return at == std::string::npos ? std::string() : text.substr(at);
+  };
+  auto rows = [](const std::string& table) {
+    return std::count(table.begin(), table.end(), '\n');
+  };
+  const std::string mine =
+      "pgm mine --input preset:bacteria:3000:1 --min-gap 1 --max-gap 3 "
+      "--rho-percent 0.5 --start-length 2 --lift --top ";
+  const CliRun mine_all = RunCli(mine + "0");
+  const CliRun mine_huge = RunCli(mine + "1000000");
+  EXPECT_SUCCESS(mine_all);
+  const std::string lift = from(mine_all.out, "most surprising");
+  EXPECT_EQ(lift, from(mine_huge.out, "most surprising"));
+  EXPECT_GT(rows(lift), 100);
+
+  const std::string corpus =
+      "pgm corpus --input preset:bacteria:6000:1 --fragment-length 2000 "
+      "--min-gap 1 --max-gap 3 --rho-percent 0.5 --start-length 2 --top ";
+  const CliRun corpus_all = RunCli(corpus + "0");
+  EXPECT_SUCCESS(corpus_all);
+  EXPECT_EQ(corpus_all.out, RunCli(corpus + "1000000").out);
+  EXPECT_GT(rows(from(corpus_all.out, "distinct frequent")), 100);
+
+  const std::string tandem =
+      "pgm tandem --input preset:bacteria:20000:1 --max-period 2 "
+      "--min-copies 3 --min-length 6 --top ";
+  const CliRun tandem_all = RunCli(tandem + "0");
+  EXPECT_SUCCESS(tandem_all);
+  EXPECT_EQ(tandem_all.out, RunCli(tandem + "1000000").out);
+  EXPECT_GT(rows(tandem_all.out), 5);
 }
 
 // ---------------------------------------------------------------------------

@@ -2,10 +2,11 @@
 // every off-by-one length (L-1, L, L+1, 2L-1, 2L, and empty), the
 // loud-empty-plan contract, the Section 7 guarantee that a pattern's
 // support is counted within fragments and never across a fragment boundary,
-// and the ledger-drain invariant — the corpus ledger must read zero after
-// MineCorpus returns on every termination path (completed, cancelled,
-// candidate-cap, per-fragment failure, rejected configuration). Runs under
-// the robustness (ASan), concurrency (TSan), and service presets.
+// the up-front checks (an invalid miner config, algorithm or corpus_threads
+// fails before any fragment runs), and the ledger peak on every termination
+// path (completed, cancelled, candidate-cap): the sum of the mined windows
+// and results, the same at every thread count. Runs under the robustness
+// (ASan), concurrency (TSan), and service presets.
 
 #include "corpus/executor.h"
 
@@ -16,6 +17,7 @@
 #include <vector>
 
 #include "core/miner.h"
+#include "core/trace.h"
 #include "corpus/plan.h"
 #include "seq/fasta.h"
 #include "seq/sequence.h"
@@ -145,7 +147,7 @@ TEST(CorpusPlanTest, EmptyPlanDiagnosticNamesRecordsAndFix) {
       *CorpusPlan::FromSequence(PeriodicSeq(12), "short_rec", options);
   ASSERT_TRUE(plan.fragments().empty());
 
-  const std::string diagnostic = plan.EmptyPlanDiagnostic(options);
+  const std::string diagnostic = plan.EmptyPlanDiagnostic();
   EXPECT_NE(diagnostic.find("corpus plan is empty"), std::string::npos)
       << diagnostic;
   EXPECT_NE(diagnostic.find("short_rec"), std::string::npos) << diagnostic;
@@ -160,6 +162,7 @@ TEST(CorpusPlanTest, EmptyPlanDiagnosticNamesRecordsAndFix) {
   StatusOr<CorpusResult> result = MineCorpus(plan, corpus_options);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(result.status().message(), diagnostic);
 }
 
 TEST(CorpusPlanTest, MultiRecordOrdinalsAndFragmentCap) {
@@ -240,24 +243,20 @@ TEST(CorpusExecutorTest, PlantedPatternSupportNeverCrossesFragmentBoundary) {
       << "whole-sequence support should exceed the per-fragment best";
 }
 
-// --- Ledger drain on every termination path -----------------------------
+// --- Ledger peak and up-front checks on every termination path ----------
 
 TEST(CorpusExecutorTest, LedgerDrainsAfterCompletedRun) {
   CorpusPlan plan = *CorpusPlan::FromSequence(PeriodicSeq(64), "rec",
                                               PlanOptions(16, false));
   ASSERT_EQ(plan.fragments().size(), 4u);
-  CorpusLedger ledger;
   CorpusOptions options;
   options.miner = TinyConfig(1, 2, 0.02);
   options.corpus_threads = 2;
-  options.ledger = &ledger;
   CorpusResult corpus = *MineCorpus(plan, options);
   EXPECT_EQ(corpus.termination, TerminationReason::kCompleted);
   EXPECT_TRUE(corpus.complete());
   EXPECT_EQ(corpus.fragments_completed, 4u);
-  EXPECT_EQ(ledger.outstanding_bytes(), 0u);
-  EXPECT_GT(ledger.peak_bytes(), 0u);
-  EXPECT_EQ(corpus.ledger_peak_bytes, ledger.peak_bytes());
+  EXPECT_GT(corpus.ledger_peak_bytes, 0u);
   EXPECT_GT(corpus.guaranteed_complete_up_to, 0);
 }
 
@@ -266,87 +265,85 @@ TEST(CorpusExecutorTest, LedgerDrainsWhenCancelledBeforeStart) {
                                               PlanOptions(16, false));
   CancelToken cancel;
   cancel.RequestCancel();
-  CorpusLedger ledger;
   CorpusOptions options;
   options.miner = TinyConfig(1, 2, 0.02);
   options.cancel = &cancel;
-  options.ledger = &ledger;
   CorpusResult corpus = *MineCorpus(plan, options);
   EXPECT_EQ(corpus.termination, TerminationReason::kCancelled);
   EXPECT_EQ(corpus.fragments_skipped, 4u);
   EXPECT_EQ(corpus.fragments_mined, 0u);
   EXPECT_TRUE(corpus.patterns.empty());
   // Nothing was picked up, so nothing was ever charged.
-  EXPECT_EQ(ledger.outstanding_bytes(), 0u);
-  EXPECT_EQ(ledger.peak_bytes(), 0u);
+  EXPECT_EQ(corpus.ledger_peak_bytes, 0u);
   EXPECT_EQ(corpus.guaranteed_complete_up_to, 0);
 }
 
 TEST(CorpusExecutorTest, LedgerDrainsWhenCorpusCandidateCapTrips) {
   CorpusPlan plan = *CorpusPlan::FromSequence(PeriodicSeq(64), "rec",
                                               PlanOptions(16, false));
-  CorpusLedger ledger;
   CorpusOptions options;
   options.miner = TinyConfig(1, 2, 0.02);
   // Serial so the trip point is deterministic: fragment 0 mines, its
   // candidate total latches the corpus cap, fragments 1..3 are skipped.
   options.corpus_threads = 1;
   options.miner.limits.max_total_candidates = 1;
-  options.ledger = &ledger;
   CorpusResult corpus = *MineCorpus(plan, options);
   EXPECT_EQ(corpus.termination, TerminationReason::kCandidateCap);
   EXPECT_EQ(corpus.fragments_mined, 1u);
   EXPECT_EQ(corpus.fragments_skipped, 3u);
   // Partial-but-sound: the mined fragment's patterns survive the trip.
   EXPECT_FALSE(corpus.patterns.empty());
-  EXPECT_EQ(ledger.outstanding_bytes(), 0u);
-  EXPECT_GT(ledger.peak_bytes(), 0u);
+  EXPECT_GT(corpus.ledger_peak_bytes, 0u);
   EXPECT_EQ(corpus.guaranteed_complete_up_to, 0);
 }
 
-TEST(CorpusExecutorTest, LedgerDrainsWhenEveryFragmentFails) {
+// A config every fragment's run would reject fails the corpus before any
+// fragment runs, with that run's reason: no fragment starts, so the
+// observer records nothing.
+TEST(CorpusExecutorTest, InvalidMinerConfigFailsBeforeAnyFragment) {
   CorpusPlan plan = *CorpusPlan::FromSequence(PeriodicSeq(64), "rec",
                                               PlanOptions(16, false));
-  CorpusLedger ledger;
+  MiningTrace trace;
+  MiningObserver observer;
+  observer.trace = &trace;
   CorpusOptions options;
   options.miner = TinyConfig(/*min_gap=*/5, /*max_gap=*/2);  // rejected
   options.corpus_threads = 2;
-  options.ledger = &ledger;
-  CorpusResult corpus = *MineCorpus(plan, options);
-  EXPECT_EQ(corpus.fragments_failed, 4u);
-  EXPECT_EQ(corpus.fragments_completed, 0u);
-  EXPECT_TRUE(corpus.patterns.empty());
-  for (const FragmentResult& fragment : corpus.fragments) {
-    EXPECT_TRUE(fragment.mined);
-    EXPECT_FALSE(fragment.status.ok());
-  }
-  EXPECT_EQ(ledger.outstanding_bytes(), 0u);
-  EXPECT_GT(ledger.peak_bytes(), 0u);
-  EXPECT_EQ(corpus.guaranteed_complete_up_to, 0);
+  options.observer = &observer;
+  StatusOr<CorpusResult> result = MineCorpus(plan, options);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(result.status().message().find(
+                "maximum gap 2 is smaller than minimum gap 5"),
+            std::string::npos)
+      << result.status().message();
+  EXPECT_TRUE(trace.events().empty());
+
+  // MPPm's order m is part of the config every run checks.
+  options.miner = TinyConfig(1, 2, 0.02);
+  options.miner.em_order = 0;
+  result = MineCorpus(plan, options);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_TRUE(trace.events().empty());
 }
 
 TEST(CorpusExecutorTest, UnknownAlgorithmFailsWithoutCharging) {
   CorpusPlan plan = *CorpusPlan::FromSequence(PeriodicSeq(32), "rec",
                                               PlanOptions(16, false));
-  CorpusLedger ledger;
   CorpusOptions options;
   options.algorithm = "nonesuch";
-  options.ledger = &ledger;
   StatusOr<CorpusResult> result = MineCorpus(plan, options);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_EQ(ledger.outstanding_bytes(), 0u);
-  EXPECT_EQ(ledger.peak_bytes(), 0u);
 }
 
 TEST(CorpusExecutorTest, CorpusThreadsAboveTheCeilingFailWithoutCharging) {
   CorpusPlan plan = *CorpusPlan::FromSequence(PeriodicSeq(32), "rec",
                                               PlanOptions(16, false));
-  CorpusLedger ledger;
   CorpusOptions options;
   options.miner = TinyConfig(1, 2, 0.02);
   options.corpus_threads = ThreadPool::kMaxThreads + 1;
-  options.ledger = &ledger;
   StatusOr<CorpusResult> result = MineCorpus(plan, options);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
@@ -354,14 +351,49 @@ TEST(CorpusExecutorTest, CorpusThreadsAboveTheCeilingFailWithoutCharging) {
                 std::to_string(options.corpus_threads)),
             std::string::npos)
       << result.status().message();
-  EXPECT_EQ(ledger.peak_bytes(), 0u);
 
   // The ceiling itself is a legal request.
   options.corpus_threads = ThreadPool::kMaxThreads;
   result = MineCorpus(plan, options);
   ASSERT_TRUE(result.ok()) << result.status().message();
   EXPECT_TRUE(result->complete());
-  EXPECT_EQ(ledger.outstanding_bytes(), 0u);
+}
+
+// The fold frees nothing until every fragment is mined, so the ledger peak
+// is a sum: every mined window plus every fragment result that came back
+// OK. That makes it the same at every thread count.
+TEST(CorpusExecutorTest, LedgerPeakIsTheSumOfMinedWindowsAndResults) {
+  CorpusPlan plan = *CorpusPlan::FromSequence(PeriodicSeq(64), "rec",
+                                              PlanOptions(16, false));
+  auto fold_sum = [](const CorpusResult& corpus) {
+    std::uint64_t bytes = 0;
+    for (const FragmentResult& fragment : corpus.fragments) {
+      if (!fragment.mined) continue;
+      bytes += sizeof(Sequence) + fragment.length * sizeof(Symbol);
+      if (fragment.status.ok()) bytes += ApproxResultBytes(fragment.result);
+    }
+    return bytes;
+  };
+  CorpusOptions options;
+  options.miner = TinyConfig(1, 2, 0.02);
+  std::uint64_t serial_peak = 0;
+  for (std::int64_t threads : {1, 2, 8}) {
+    SCOPED_TRACE("corpus_threads=" + std::to_string(threads));
+    options.corpus_threads = threads;
+    const CorpusResult corpus = *MineCorpus(plan, options);
+    ASSERT_EQ(corpus.fragments_mined, 4u);
+    EXPECT_EQ(corpus.ledger_peak_bytes, fold_sum(corpus));
+    if (threads == 1) serial_peak = corpus.ledger_peak_bytes;
+    EXPECT_EQ(corpus.ledger_peak_bytes, serial_peak);
+  }
+
+  // A tripped run sums only what it mined.
+  options.corpus_threads = 1;
+  options.miner.limits.max_total_candidates = 1;
+  const CorpusResult capped = *MineCorpus(plan, options);
+  ASSERT_EQ(capped.fragments_mined, 1u);
+  EXPECT_EQ(capped.ledger_peak_bytes, fold_sum(capped));
+  EXPECT_LT(capped.ledger_peak_bytes, serial_peak);
 }
 
 TEST(CorpusExecutorTest, ToMiningResultCarriesTheAggregate) {

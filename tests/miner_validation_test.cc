@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "core/miner.h"
+#include "core/trace.h"
 #include "util/thread_pool.h"
 
 namespace pgm {
@@ -96,6 +97,23 @@ TEST_P(MinerValidationTest, SupportRatioOfExactlyOneIsValid) {
   EXPECT_TRUE(GetParam()(SmallSeq(), config).ok());
 }
 
+// m and the adaptive loop's knobs are checked for every algorithm, like
+// every other field, whether or not the algorithm reads them.
+TEST_P(MinerValidationTest, RejectsOrderAndIterationKnobsBelowOne) {
+  MinerConfig config = ValidConfig();
+  config.em_order = 0;
+  EXPECT_EQ(GetParam()(SmallSeq(), config).status().code(),
+            StatusCode::kInvalidArgument);
+  config = ValidConfig();
+  config.initial_n = 0;
+  EXPECT_EQ(GetParam()(SmallSeq(), config).status().code(),
+            StatusCode::kInvalidArgument);
+  config = ValidConfig();
+  config.max_iterations = 0;
+  EXPECT_EQ(GetParam()(SmallSeq(), config).status().code(),
+            StatusCode::kInvalidArgument);
+}
+
 INSTANTIATE_TEST_SUITE_P(AllMiners, MinerValidationTest,
                          testing::Values(&MineMpp, &MineMppm, &MineEnumeration,
                                          &MineAdaptive));
@@ -113,6 +131,25 @@ TEST(MinerValidationTest, MppmRejectsBadEmOrder) {
   MinerConfig config = ValidConfig();
   config.em_order = 0;
   EXPECT_FALSE(MineMppm(SmallSeq(), config).ok());
+}
+
+// MPPm's order m is checked with every other field, before the run opens
+// its trace: a budget spent on arrival no longer lets m = 0 through, and a
+// rejected run leaves no run_start behind.
+TEST(MinerValidationTest, MppmRejectsBadEmOrderBeforeTheRunStarts) {
+  MinerConfig config = ValidConfig();
+  config.em_order = 0;
+  config.limits.deadline_ms = 0;
+  MiningTrace trace;
+  MiningObserver observer;
+  observer.trace = &trace;
+  config.observer = &observer;
+  const Status status = MineMppm(SmallSeq(), config).status();
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(status.message().find("e_m order m must be >= 1"),
+            std::string::npos)
+      << status.message();
+  EXPECT_TRUE(trace.events().empty());
 }
 
 TEST(MinerValidationTest, StartLengthBeyondL2YieldsEmptyResult) {
